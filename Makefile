@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race monitor sweep-verify chaos shards fuzz bench bench-json bench-recovery bench-transport bench-store bench-sim bench-recorder scale-smoke par sweep
+.PHONY: check vet build test race monitor perfbench sweep-verify chaos shards fuzz bench bench-json bench-recovery bench-transport bench-store bench-sim bench-recorder scale-smoke par sweep
 
-check: vet build test race monitor sweep-verify chaos shards par fuzz scale-smoke bench-transport bench-store bench-sim bench-recorder
+check: vet build test race monitor perfbench sweep-verify chaos shards par fuzz scale-smoke bench-transport bench-store bench-sim bench-recorder
 
 vet:
 	$(GO) vet ./...
@@ -27,10 +27,19 @@ race:
 # The online invariant monitor: its unit tests plus the cluster-level
 # integration tests (duplicate flagged before quiescence, report determinism,
 # monitor passivity), race-checked because the monitor hangs off the trace
-# observer that every subsystem's hot path crosses.
+# observer that every subsystem's hot path crosses. Also the typed-trace
+# pins: zero allocations on the record path and on the monitor's per-event
+# path (with the broken variant that proves the harness sees an
+# allocation), and the golden exporter bytes.
 monitor:
 	$(GO) test -race ./internal/monitor
-	$(GO) test -race -run 'TestMonitor' -count=1 .
+	$(GO) test -race -run 'Alloc|NoteText' -count=1 ./internal/trace
+	$(GO) test -race -run 'TestMonitor|TestGolden' -count=1 .
+
+# The benchmark is its own module on top of this one: vet and test it so an
+# API change in trace or monitor that perfbench depends on fails here.
+perfbench:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # The seeded fault-schedule sweep plus the invariant checker, race-checked:
 # the harness runs baseline and faulted clusters on real goroutines via

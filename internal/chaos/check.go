@@ -111,15 +111,15 @@ func Check(sys System, s Schedule, faulted, baseline RunOutcome, cfg CheckConfig
 	// exceed one original plus one per replayed copy. Replay re-queues a
 	// message with its original id, so each detailed KindReplay event
 	// licenses exactly one extra KindDeliver.
-	deliver := map[string]int{}
-	replays := map[string]int{}
+	deliver := map[frame.MsgID]int{}
+	replays := map[frame.MsgID]int{}
 	for _, e := range sys.Trace().OfKind(trace.KindDeliver) {
-		if e.Msg != "" {
+		if e.HasMsg {
 			deliver[e.Msg]++
 		}
 	}
 	for _, e := range sys.Trace().OfKind(trace.KindReplay) {
-		if e.Msg != "" {
+		if e.HasMsg {
 			replays[e.Msg]++
 		}
 	}

@@ -278,6 +278,7 @@ func (k *Kernel) Spawn(spec ProcSpec, opt SpawnOptions) (frame.ProcID, error) {
 
 	p := &process{
 		id:     id,
+		name:   id.String(),
 		spec:   spec,
 		k:      k,
 		links:  newLinkTable(),
@@ -327,7 +328,7 @@ func (k *Kernel) Spawn(spec ProcSpec, opt SpawnOptions) (frame.ProcID, error) {
 	k.procs[id] = p
 	k.stats.ProcsCreated++
 	k.charge(k.env.Costs.CreateCPU, 0)
-	k.env.Log.Add(trace.KindControl, int(k.node), id.String(), "created %q recovering=%v", spec.Name, opt.Recovering)
+	k.env.Log.Add(trace.KindControl, int(k.node), p.name, "created %q recovering=%v", spec.Name, opt.Recovering)
 
 	if !opt.Quiet && k.publishingFor(p) {
 		k.notify(&Notice{Kind: NoticeCreated, Proc: id, Spec: spec})

@@ -78,8 +78,8 @@ func (k *Kernel) sendMessage(counter *process, from frame.ProcID, l frame.Link, 
 			// been sent by the original process").
 			k.stats.Suppressed++
 			k.charge(costs.SendCPU, costs.UserPerCall)
-			k.env.Log.Add(trace.KindSuppress, int(k.node), from.String(),
-				"suppressed resend #%d (<= %d)", seq, counter.suppressThrough)
+			k.env.Log.Record(trace.Event{Kind: trace.KindSuppress, Node: int(k.node), Subject: counter.name,
+				Proc: from, Note: trace.NoteSuppressed, A: int64(seq), B: int64(counter.suppressThrough)})
 			return nil
 		}
 	} else {
@@ -130,10 +130,8 @@ func (k *Kernel) sendMessage(counter *process, from frame.ProcID, l frame.Link, 
 		// the endpoint takes it, so hand over ownership and skip the clone.
 		k.ep.SendGuaranteedOwned(f)
 	})
-	if k.env.Log.Enabled() {
-		id := f.ID.String()
-		k.env.Log.AddMsg(trace.KindSend, int(k.node), id, id, "%s", f)
-	}
+	k.env.Log.Record(trace.Event{Kind: trace.KindSend, Node: int(k.node), Msg: f.ID, HasMsg: true,
+		Proc: f.To, Note: trace.NoteFrame, A: int64(f.Channel), B: int64(len(f.Body))})
 	return nil
 }
 
@@ -216,7 +214,8 @@ func (k *Kernel) enqueueFrame(f *frame.Frame) bool {
 		// retransmission whose ack the sender never saw. Consume it (ack)
 		// without delivering, or the process would see it twice.
 		k.stats.ReplayDupsDropped++
-		k.env.Log.AddMsg(trace.KindReplay, int(k.node), f.ID.String(), p.id.String(), "late direct copy of replayed message dropped")
+		k.env.Log.Record(trace.Event{Kind: trace.KindReplay, Node: int(k.node), Subject: p.name,
+			Msg: f.ID, HasMsg: true, Proc: p.id, Detail: "late direct copy of replayed message dropped"})
 		return true
 	}
 	k.pushToQueue(p, Msg{ID: f.ID, From: f.From, Channel: f.Channel, Code: f.Code, Body: f.Body}, f.PassedLink)
@@ -231,9 +230,8 @@ func (k *Kernel) pushToQueue(p *process, m Msg, link *frame.Link) {
 	p.bytesSinceCk += uint64(len(m.Body))
 	k.stats.MsgsDelivered++
 	k.qDepth.Add(1)
-	if k.env.Log.Enabled() {
-		k.env.Log.AddMsg(trace.KindDeliver, int(k.node), m.ID.String(), p.id.String(), "queued ch=%d", m.Channel)
-	}
+	k.env.Log.Record(trace.Event{Kind: trace.KindDeliver, Node: int(k.node), Subject: p.name,
+		Msg: m.ID, HasMsg: true, Proc: p.id, Note: trace.NoteQueued, A: int64(m.Channel)})
 	if p.state == psBlocked && p.queue.anyMatch(p.want) {
 		p.state = psReady
 		k.wake(p)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"publishing/internal/frame"
+	"publishing/internal/gobx"
 	"publishing/internal/simtime"
 	"publishing/internal/trace"
 )
@@ -22,13 +23,23 @@ type CtlReply struct {
 	AckedBatch uint64
 }
 
+// replyCodec caches the gob setup for control replies: every replay-batch
+// ack and every recreate answer is one.
+var replyCodec gobx.Codec[CtlReply]
+
 // EncodeReply gob-encodes a control reply.
-func EncodeReply(r *CtlReply) []byte { return mustGob(r) }
+func EncodeReply(r *CtlReply) []byte {
+	b, err := replyCodec.Encode(nil, r)
+	if err != nil {
+		panic(fmt.Sprintf("demos: gob encode: %v", err))
+	}
+	return b
+}
 
 // DecodeReply decodes a control reply.
 func DecodeReply(b []byte) (*CtlReply, error) {
 	var r CtlReply
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
+	if err := replyCodec.Decode(b, &r); err != nil {
 		return nil, fmt.Errorf("demos: bad control reply: %w", err)
 	}
 	return &r, nil
@@ -97,7 +108,7 @@ func (k *Kernel) handleControl(f *frame.Frame) bool {
 				Quiet:           true,
 			})
 		}
-		k.env.Log.Add(trace.KindRecoveryStart, int(k.node), ctl.Proc.String(),
+		k.env.Log.AddProc(trace.KindRecoveryStart, int(k.node), ctl.Proc, ctl.Proc.String(),
 			"recreated (gen=%d first=%d last=%d ck=%dB): err=%v", ctl.RecoveryGen, ctl.FirstSendSeq, ctl.LastSentSeq, len(ck), err)
 		k.reply(f, nil, replyFor(id, err), nil)
 
@@ -113,14 +124,15 @@ func (k *Kernel) handleControl(f *frame.Frame) bool {
 	case OpReplayMsg:
 		p := k.procs[ctl.Proc]
 		if p == nil || !p.recovering {
-			k.env.Log.Add(trace.KindReplay, int(k.node), ctl.Proc.String(), "replay for non-recovering process dropped")
+			k.env.Log.AddProc(trace.KindReplay, int(k.node), ctl.Proc, ctl.Proc.String(), "replay for non-recovering process dropped")
 			return true
 		}
 		k.stats.Replayed++
 		k.noteReplayed(p, ctl.ReplayID)
 		// The replay event precedes the delivery it licenses, so an online
 		// exactly-once monitor never sees a replayed delivery as a duplicate.
-		k.env.Log.AddMsg(trace.KindReplay, int(k.node), ctl.ReplayID.String(), ctl.Proc.String(), "replayed")
+		k.env.Log.Record(trace.Event{Kind: trace.KindReplay, Node: int(k.node), Subject: p.name,
+			Msg: ctl.ReplayID, HasMsg: true, Proc: p.id, Detail: "replayed"})
 		k.pushToQueue(p, Msg{
 			ID:      ctl.ReplayID,
 			From:    ctl.ReplayFrom,
@@ -138,12 +150,12 @@ func (k *Kernel) handleControl(f *frame.Frame) bool {
 			// A recovery-done from an abandoned attempt must not open the
 			// process to direct traffic mid-replay of the live attempt.
 			k.stats.StaleReplayDropped++
-			k.env.Log.Add(trace.KindRecoveryDone, int(k.node), ctl.Proc.String(),
+			k.env.Log.AddProc(trace.KindRecoveryDone, int(k.node), ctl.Proc, p.name,
 				"stale recovery-done (gen %d, live %d) dropped", ctl.RecoveryGen, p.recoveryGen)
 			return true
 		}
 		p.recovering = false
-		k.env.Log.Add(trace.KindRecoveryDone, int(k.node), ctl.Proc.String(),
+		k.env.Log.AddProc(trace.KindRecoveryDone, int(k.node), ctl.Proc, p.name,
 			"recovery complete; accepting direct traffic")
 		// Frames refused during recovery are sitting in the transport's
 		// reassembly buffers; deliver them now, in order.
@@ -192,7 +204,7 @@ func (k *Kernel) handleControl(f *frame.Frame) bool {
 func (k *Kernel) handleReplayFrame(f *frame.Frame) bool {
 	hdr, err := DecodeBatchHdr(f.Body)
 	if err != nil {
-		k.env.Log.Add(trace.KindReplay, int(k.node), f.From.String(), "undecodable replay frame: %v", err)
+		k.env.Log.AddProc(trace.KindReplay, int(k.node), f.From, f.From.String(), "undecodable replay frame: %v", err)
 		return true
 	}
 	if hdr.Kind == batchKindCkChunk {
@@ -214,7 +226,7 @@ func (k *Kernel) handleReplayBatch(f *frame.Frame, hdr ReplayBatchHdr) bool {
 		// §3.5) or for a process no longer replaying. Ack and discard — the
 		// live attempt has its own stream.
 		k.stats.StaleReplayDropped++
-		k.env.Log.Add(trace.KindReplay, int(k.node), hdr.Proc.String(),
+		k.env.Log.AddProc(trace.KindReplay, int(k.node), hdr.Proc, hdr.Proc.String(),
 			"stale replay batch #%d (gen %d) dropped", hdr.Seq, hdr.Gen)
 		return true
 	}
@@ -227,7 +239,7 @@ func (k *Kernel) handleReplayBatch(f *frame.Frame, hdr ReplayBatchHdr) bool {
 	hdr, recs, err := DecodeReplayBatch(f.Body, k.replayRecs[:0])
 	k.replayRecs = recs[:0]
 	if err != nil {
-		k.env.Log.Add(trace.KindReplay, int(k.node), hdr.Proc.String(), "bad replay batch: %v", err)
+		k.env.Log.AddProc(trace.KindReplay, int(k.node), hdr.Proc, hdr.Proc.String(), "bad replay batch: %v", err)
 		return true
 	}
 	detailed := k.env.Log.Detailed()
@@ -239,8 +251,8 @@ func (k *Kernel) handleReplayBatch(f *frame.Frame, hdr ReplayBatchHdr) bool {
 			// original id, tying the replay back to the pre-crash publish.
 			// Emitted before the delivery it licenses, so an online
 			// exactly-once monitor never counts a replay as a duplicate.
-			k.env.Log.AddMsg(trace.KindReplay, int(k.node), recs[i].ID.String(),
-				hdr.Proc.String(), "replayed from batch #%d", hdr.Seq)
+			k.env.Log.Record(trace.Event{Kind: trace.KindReplay, Node: int(k.node), Subject: p.name,
+				Msg: recs[i].ID, HasMsg: true, Proc: p.id, Note: trace.NoteReplayedFrom, A: int64(hdr.Seq)})
 		}
 		k.pushToQueue(p, Msg{
 			ID:      recs[i].ID,
@@ -252,8 +264,8 @@ func (k *Kernel) handleReplayBatch(f *frame.Frame, hdr ReplayBatchHdr) bool {
 	}
 	p.replayBatch = hdr.Seq
 	k.stats.ReplayBatches++
-	k.env.Log.Add(trace.KindReplay, int(k.node), hdr.Proc.String(),
-		"replayed batch #%d (%d messages)", hdr.Seq, len(recs))
+	k.env.Log.Record(trace.Event{Kind: trace.KindReplay, Node: int(k.node), Subject: p.name, Proc: p.id,
+		Note: trace.NoteReplayedBatch, A: int64(hdr.Seq), B: int64(len(recs))})
 	k.replyBatchAck(f, p)
 	return true
 }
@@ -279,7 +291,7 @@ func (k *Kernel) replyBatchAck(f *frame.Frame, p *process) {
 func (k *Kernel) handleCkChunk(f *frame.Frame, hdr ReplayBatchHdr) bool {
 	_, data, err := DecodeCkChunk(f.Body)
 	if err != nil {
-		k.env.Log.Add(trace.KindReplay, int(k.node), hdr.Proc.String(), "bad checkpoint chunk: %v", err)
+		k.env.Log.AddProc(trace.KindReplay, int(k.node), hdr.Proc, hdr.Proc.String(), "bad checkpoint chunk: %v", err)
 		return true
 	}
 	if k.ckStage == nil {

@@ -96,7 +96,10 @@ const (
 // record, save area (link table), and input queue (§4.4.3 lists exactly
 // these as the kernel-resident state).
 type process struct {
-	id   frame.ProcID
+	id frame.ProcID
+	// name is id.String(), formatted once: the subject of the process's
+	// trace events.
+	name string
 	spec ProcSpec
 	k    *Kernel
 

@@ -25,8 +25,8 @@
 // Byte-identity is not an optimization nicety here — recorded databases are
 // fingerprinted by the determinism oracles (sweep-verify, the scale tests),
 // so an encoder that changed the stream would change the fingerprints.
-// codec_test.go pins the equivalence against the stock encoder for every
-// type the hot paths register.
+// hot_types_test.go pins the equivalence against the stock encoder for
+// every type the hot paths register.
 package gobx
 
 import (

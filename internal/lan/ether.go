@@ -98,9 +98,10 @@ func (m *Ether) attempt(tx *etherTx) {
 func (m *Ether) collide(tx *etherTx) {
 	m.stats.Collisions++
 	cur := m.cur
-	id := tx.f.ID.String()
-	m.log.AddMsg(trace.KindCollision, int(tx.src), id, id,
-		"collision with %s from n%d", cur.f.ID, cur.src)
+	if m.log.Enabled() {
+		m.log.AddMsg(trace.KindCollision, int(tx.src), tx.f.ID, "",
+			"collision with %s from n%d", cur.f.ID, cur.src)
+	}
 	// Jam: the in-flight transmission is aborted.
 	m.sched.Cancel(cur.finish)
 	m.cur = nil
@@ -126,8 +127,7 @@ func (m *Ether) backoff(tx *etherTx) {
 	tx.attempts++
 	if tx.attempts >= m.maxAttempts {
 		m.stats.FramesLost++
-		id := tx.f.ID.String()
-		m.log.AddMsg(trace.KindDrop, int(tx.src), id, id, "excessive collisions")
+		m.log.AddMsg(trace.KindDrop, int(tx.src), tx.f.ID, "", "excessive collisions")
 		return
 	}
 	m.stats.Backoffs++
@@ -177,8 +177,7 @@ func (m *Ether) finish(tx *etherTx) {
 	}
 	if m.faults.LossProb > 0 && m.rng.Bool(m.faults.LossProb) {
 		m.stats.FramesLost++
-		id := tx.f.ID.String()
-		m.log.AddMsg(trace.KindDrop, int(tx.src), id, id, "wire loss")
+		m.log.AddMsg(trace.KindDrop, int(tx.src), tx.f.ID, "", "wire loss")
 		return
 	}
 	if tx.f.Corrupt {
@@ -190,8 +189,7 @@ func (m *Ether) finish(tx *etherTx) {
 		// Empty recorder-ack slot: every receiver discards the frame
 		// "exactly as if it had received a bad packet" (§6.1.1).
 		m.stats.RecorderBlocks++
-		id := tx.f.ID.String()
-		m.log.AddMsg(trace.KindDrop, int(tx.src), id, id,
+		m.log.AddMsg(trace.KindDrop, int(tx.src), tx.f.ID, "",
 			"no recorder ack in slot; receivers discard")
 		return
 	}

@@ -3,7 +3,6 @@ package monitor
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"publishing/internal/trace"
 )
@@ -18,9 +17,9 @@ import (
 // may have dropped it, or detailed tracing was off).
 func Explain(w io.Writer, events []trace.Event, msgID string) []trace.Event {
 	var out []trace.Event
-	for _, e := range events {
-		if e.Msg == msgID {
-			out = append(out, e)
+	for i := range events {
+		if e := &events[i]; e.HasMsg && e.Msg.String() == msgID {
+			out = append(out, *e)
 		}
 	}
 	if len(out) == 0 {
@@ -31,10 +30,11 @@ func Explain(w io.Writer, events []trace.Event, msgID string) []trace.Event {
 	fmt.Fprintf(w, "message %s: %d events, t=%v … t=%v\n", msgID, len(out), out[0].At, out[len(out)-1].At)
 	var freshSends, retrans, delivered, published, replays, acks int
 	gaveUp := false
-	for _, e := range out {
+	for i := range out {
+		e := &out[i]
 		switch e.Kind {
 		case trace.KindSend:
-			if strings.HasPrefix(e.Detail, "retransmit") {
+			if e.Note == trace.NoteRetransmit {
 				retrans++
 			} else {
 				freshSends++
@@ -50,7 +50,7 @@ func Explain(w io.Writer, events []trace.Event, msgID string) []trace.Event {
 		case trace.KindGiveUp:
 			gaveUp = true
 		}
-		fmt.Fprintf(w, "  %12v %-14s node=%-2d %-14s %s\n", e.At, e.Kind, e.Node, e.Subject, e.Detail)
+		fmt.Fprintf(w, "  %12v %-14s node=%-2d %-14s %s\n", e.At, e.Kind, e.Node, e.SubjectText(), e.DetailText())
 	}
 
 	fmt.Fprintf(w, "lifetime: sends=%d retransmits=%d published=%d delivered=%d replays=%d acks=%d\n",

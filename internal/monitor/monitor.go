@@ -36,6 +36,7 @@ import (
 	"sort"
 	"strings"
 
+	"publishing/internal/frame"
 	"publishing/internal/metrics"
 	"publishing/internal/simtime"
 	"publishing/internal/trace"
@@ -70,8 +71,9 @@ type Config struct {
 	// answer per their replica set, every other node is unconstrained. A
 	// false answer is the shard-ownership violation: a recorder touching a
 	// stream outside its shards means the union invariant no longer bounds
-	// what any one recorder's loss can take down.
-	ShardOwner func(node int, proc string) bool
+	// what any one recorder's loss can take down. Events that name no
+	// process stream pass the nil ProcID.
+	ShardOwner func(node int, proc frame.ProcID) bool
 }
 
 // DefaultStallWindow is the stall detector's default virtual window.
@@ -82,13 +84,14 @@ const DefaultStallWindow = 10 * simtime.Second
 type Violation struct {
 	At        simtime.Time
 	Invariant string
-	// Msg is the message id involved (the causal key), when there is one.
-	Msg    string
+	// Msg is the message id involved (the causal key), when HasMsg.
+	Msg    frame.MsgID
+	HasMsg bool
 	Detail string
 }
 
 func (v Violation) String() string {
-	if v.Msg != "" {
+	if v.HasMsg {
 		return fmt.Sprintf("t=%v %s %s: %s", v.At, v.Invariant, v.Msg, v.Detail)
 	}
 	return fmt.Sprintf("t=%v %s: %s", v.At, v.Invariant, v.Detail)
@@ -126,13 +129,13 @@ type msgState struct {
 // assigned the order and the destination process.
 type arrKey struct {
 	node int
-	proc string
+	proc frame.ProcID
 }
 
 // pubKey identifies one published message in one destination stream.
 type pubKey struct {
-	proc string
-	msg  string
+	proc frame.ProcID
+	msg  frame.MsgID
 }
 
 // Monitor is the online invariant checker. Create with New, subscribe via
@@ -143,13 +146,13 @@ type Monitor struct {
 	cfg Config
 	now func() simtime.Time
 
-	msgs       map[string]*msgState
+	msgs       map[frame.MsgID]*msgState
 	arr        map[arrKey]uint64
 	arrSeen    map[arrKey]bool
 	published  map[pubKey]bool
 	basisMiss  map[pubKey]bool
-	recoveries map[string]int
-	inflight   map[string]struct{}
+	recoveries map[frame.ProcID]int
+	inflight   map[frame.MsgID]struct{}
 	ownFlagged map[arrKey]bool
 
 	violations []Violation
@@ -176,13 +179,13 @@ func New(cfg Config, now func() simtime.Time) *Monitor {
 	m := &Monitor{
 		cfg:        cfg,
 		now:        now,
-		msgs:       make(map[string]*msgState),
+		msgs:       make(map[frame.MsgID]*msgState),
 		arr:        make(map[arrKey]uint64),
 		arrSeen:    make(map[arrKey]bool),
 		published:  make(map[pubKey]bool),
 		basisMiss:  make(map[pubKey]bool),
-		recoveries: make(map[string]int),
-		inflight:   make(map[string]struct{}),
+		recoveries: make(map[frame.ProcID]int),
+		inflight:   make(map[frame.MsgID]struct{}),
 		ownFlagged: make(map[arrKey]bool),
 	}
 	if cfg.Metrics != nil {
@@ -195,13 +198,13 @@ func New(cfg Config, now func() simtime.Time) *Monitor {
 // StallWindow returns the configured stall window.
 func (m *Monitor) StallWindow() simtime.Time { return m.cfg.StallWindow }
 
-func (m *Monitor) violate(at simtime.Time, inv, msg, format string, args ...any) {
+func (m *Monitor) violate(at simtime.Time, inv string, msg frame.MsgID, format string, args ...any) {
 	m.violations = append(m.violations, Violation{
-		At: at, Invariant: inv, Msg: msg, Detail: fmt.Sprintf(format, args...),
+		At: at, Invariant: inv, Msg: msg, HasMsg: true, Detail: fmt.Sprintf(format, args...),
 	})
 }
 
-func (m *Monitor) state(id string) *msgState {
+func (m *Monitor) state(id frame.MsgID) *msgState {
 	ms := m.msgs[id]
 	if ms == nil {
 		ms = &msgState{}
@@ -210,35 +213,27 @@ func (m *Monitor) state(id string) *msgState {
 	return ms
 }
 
-// senderOf extracts the sending process from a message id ("pN.L#S").
-func senderOf(msgID string) string {
-	if i := strings.IndexByte(msgID, '#'); i >= 0 {
-		return msgID[:i]
-	}
-	return msgID
-}
-
 // Observe consumes one trace event. It is the callback to install with
 // trace.Log.SetObserver.
 func (m *Monitor) Observe(e trace.Event) {
 	m.events++
 	switch e.Kind {
 	case trace.KindSend:
-		if e.Msg == "" {
+		if !e.HasMsg {
 			return
 		}
 		m.sends++
 		ms := m.state(e.Msg)
-		if strings.HasPrefix(e.Detail, "retransmit") {
+		if e.Note == trace.NoteRetransmit {
 			return
 		}
 		ms.freshSends++
 		if ms.freshSends == 1 {
 			ms.firstSendAt = e.At
 			ms.haveSend = true
-			ms.sendRecGen = m.recoveries[senderOf(e.Msg)]
+			ms.sendRecGen = m.recoveries[e.Msg.Sender]
 			m.inflight[e.Msg] = struct{}{}
-		} else if m.recoveries[senderOf(e.Msg)] > ms.sendRecGen {
+		} else if m.recoveries[e.Msg.Sender] > ms.sendRecGen {
 			// A fresh (not retransmitted) copy of an already-sent message,
 			// emitted after its sender recovered: the send-sequence
 			// suppression window let a re-executed output escape. If it
@@ -248,7 +243,7 @@ func (m *Monitor) Observe(e trace.Event) {
 		}
 
 	case trace.KindDeliver:
-		if e.Msg == "" {
+		if !e.HasMsg {
 			return
 		}
 		m.deliveries++
@@ -265,25 +260,25 @@ func (m *Monitor) Observe(e trace.Event) {
 				inv = InvReexecOutput
 			}
 			m.violate(e.At, inv, e.Msg, "delivered %d with %d replay licenses (to %s)",
-				ms.delivered, ms.replays, e.Subject)
+				ms.delivered, ms.replays, e.SubjectText())
 		}
 
 	case trace.KindPublish:
-		if e.Msg == "" {
+		if !e.HasMsg {
 			return
 		}
 		m.publishes++
 		m.noteProgress(e.At)
-		k := arrKey{node: e.Node, proc: e.Subject}
+		k := arrKey{node: e.Node, proc: e.Proc}
 		if m.arrSeen[k] && e.Seq <= m.arr[k] {
 			m.violate(e.At, InvAcceptanceOrder, e.Msg,
-				"stream %s on node %d: acceptance seq %d after %d", e.Subject, e.Node, e.Seq, m.arr[k])
+				"stream %s on node %d: acceptance seq %d after %d", e.Proc, e.Node, e.Seq, m.arr[k])
 		}
 		m.arr[k] = e.Seq
 		m.arrSeen[k] = true
-		m.published[pubKey{proc: e.Subject, msg: e.Msg}] = true
+		m.published[pubKey{proc: e.Proc, msg: e.Msg}] = true
 		ms := m.state(e.Msg)
-		if !ms.inferred && strings.Contains(e.Detail, "inferred from later ack") {
+		if !ms.inferred && e.Note == trace.NoteInferred {
 			ms.inferred = true
 			m.checkInference(e.At, e.Msg, ms)
 		}
@@ -292,7 +287,7 @@ func (m *Monitor) Observe(e trace.Event) {
 		}
 
 	case trace.KindReplay:
-		if e.Msg == "" {
+		if !e.HasMsg {
 			// Batch-level replay events (no message id) come from the
 			// recorder driving the transfer; per-record events carry ids and
 			// come from the receiving kernel, which owns no shards.
@@ -303,15 +298,15 @@ func (m *Monitor) Observe(e trace.Event) {
 		m.noteProgress(e.At)
 		ms := m.state(e.Msg)
 		ms.replays++
-		pk := pubKey{proc: e.Subject, msg: e.Msg}
+		pk := pubKey{proc: e.Proc, msg: e.Msg}
 		if !m.published[pk] && !m.basisMiss[pk] {
 			m.basisMiss[pk] = true
 			m.violate(e.At, InvReplayBasis, e.Msg,
-				"replayed to %s but never observed published for that stream", e.Subject)
+				"replayed to %s but never observed published for that stream", e.Proc)
 		}
 
 	case trace.KindAck:
-		if e.Msg == "" {
+		if !e.HasMsg {
 			return
 		}
 		m.acks++
@@ -319,7 +314,7 @@ func (m *Monitor) Observe(e trace.Event) {
 		delete(m.inflight, e.Msg)
 
 	case trace.KindGiveUp:
-		if e.Msg == "" {
+		if !e.HasMsg {
 			return
 		}
 		m.giveups++
@@ -332,7 +327,7 @@ func (m *Monitor) Observe(e trace.Event) {
 
 	case trace.KindRecoveryStart:
 		m.checkOwnership(e)
-		m.recoveries[e.Subject]++
+		m.recoveries[e.Proc]++
 
 	case trace.KindRecoveryDone:
 		m.checkOwnership(e)
@@ -368,23 +363,23 @@ func (m *Monitor) publishedOnce(ms *msgState) bool {
 // stream outside its shard replica set (sharded clusters only; flagged once
 // per node/stream pair so one confused recorder doesn't flood the report).
 func (m *Monitor) checkOwnership(e trace.Event) {
-	if m.cfg.ShardOwner == nil || m.cfg.ShardOwner(e.Node, e.Subject) {
+	if m.cfg.ShardOwner == nil || m.cfg.ShardOwner(e.Node, e.Proc) {
 		return
 	}
-	k := arrKey{node: e.Node, proc: e.Subject}
+	k := arrKey{node: e.Node, proc: e.Proc}
 	if m.ownFlagged[k] {
 		return
 	}
 	m.ownFlagged[k] = true
-	m.violate(e.At, InvShardOwnership, "",
-		"node %d acted on stream %s outside its shard replica set", e.Node, e.Subject)
+	m.violations = append(m.violations, Violation{At: e.At, Invariant: InvShardOwnership,
+		Detail: fmt.Sprintf("node %d acted on stream %s outside its shard replica set", e.Node, e.SubjectText())})
 }
 
 // checkInference fires the giveup-inference invariant once both halves of
 // the bad pattern are in: the sender exhausted its retries on this message
 // and the recorder promoted it into the replay basis by inference, with no
 // delivery ever observed. Either order of the two events is caught.
-func (m *Monitor) checkInference(at simtime.Time, id string, ms *msgState) {
+func (m *Monitor) checkInference(at simtime.Time, id frame.MsgID, ms *msgState) {
 	if ms.gaveUp && ms.inferred && ms.delivered == 0 && !ms.m5Flagged {
 		ms.m5Flagged = true
 		m.violate(at, InvGiveupInference, id,
@@ -420,9 +415,11 @@ func (m *Monitor) Tick() {
 		return
 	}
 	m.stalled = true
+	// Sorted by the formatted id, so the list reads the same however the
+	// ids compare as structs.
 	ids := make([]string, 0, len(m.inflight))
 	for id := range m.inflight {
-		ids = append(ids, id)
+		ids = append(ids, id.String())
 	}
 	sort.Strings(ids)
 	if len(ids) > 8 {

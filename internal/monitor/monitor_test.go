@@ -1,9 +1,11 @@
 package monitor
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"publishing/internal/frame"
 	"publishing/internal/metrics"
 	"publishing/internal/simtime"
 	"publishing/internal/trace"
@@ -15,8 +17,23 @@ func newTest(cfg Config) (*Monitor, *simtime.Time) {
 	return New(cfg, func() simtime.Time { return *now }), now
 }
 
-func ev(at simtime.Time, kind trace.Kind, node int, msg, subject, detail string) trace.Event {
-	return trace.Event{At: at, Kind: kind, Node: node, Msg: msg, Subject: subject, Detail: detail}
+// ev builds a typed event from readable ids: msg "pN.L#S" ("" for none),
+// subject "pN.L" (the event's Proc) or a free-form subject like "recorder".
+func ev(at simtime.Time, kind trace.Kind, node int, msg, subject string, note trace.Note) trace.Event {
+	e := trace.Event{At: at, Kind: kind, Node: node, Subject: subject, Note: note}
+	if msg != "" {
+		e.Msg, e.HasMsg = parseMsg(msg), true
+	}
+	fmt.Sscanf(subject, "p%d.%d", &e.Proc.Node, &e.Proc.Local)
+	return e
+}
+
+func parseMsg(s string) frame.MsgID {
+	var id frame.MsgID
+	if n, _ := fmt.Sscanf(s, "p%d.%d#%d", &id.Sender.Node, &id.Sender.Local, &id.Seq); n != 3 {
+		panic("bad message id " + s)
+	}
+	return id
 }
 
 func wantViolations(t *testing.T, m *Monitor, invs ...string) {
@@ -34,10 +51,10 @@ func wantViolations(t *testing.T, m *Monitor, invs ...string) {
 
 func TestExactlyOnceDuplicateFlaggedAtDeliveryTime(t *testing.T) {
 	m, _ := newTest(Config{})
-	m.Observe(ev(100, trace.KindSend, 0, "p0.1#1", "p1.1", "guaranteed"))
-	m.Observe(ev(200, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
+	m.Observe(ev(100, trace.KindSend, 0, "p0.1#1", "p1.1", trace.NoteFrame))
+	m.Observe(ev(200, trace.KindDeliver, 1, "p0.1#1", "p1.1", trace.NoteQueued))
 	wantViolations(t, m)
-	m.Observe(ev(350, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
+	m.Observe(ev(350, trace.KindDeliver, 1, "p0.1#1", "p1.1", trace.NoteQueued))
 	wantViolations(t, m, InvExactlyOnce)
 	if v := m.Violations()[0]; v.At != 350 {
 		t.Fatalf("violation stamped t=%v, want the duplicate delivery's t=350", v.At)
@@ -46,33 +63,33 @@ func TestExactlyOnceDuplicateFlaggedAtDeliveryTime(t *testing.T) {
 		t.Fatalf("DupViolations = %d, want 1", m.DupViolations())
 	}
 	// A third copy must not be flagged again: one violation per message.
-	m.Observe(ev(400, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
+	m.Observe(ev(400, trace.KindDeliver, 1, "p0.1#1", "p1.1", trace.NoteQueued))
 	wantViolations(t, m, InvExactlyOnce)
 }
 
 func TestReplayLicensesExtraDelivery(t *testing.T) {
 	m, _ := newTest(Config{})
-	m.Observe(ev(100, trace.KindSend, 0, "p0.1#1", "p1.1", "guaranteed"))
-	m.Observe(ev(200, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
-	m.Observe(ev(300, trace.KindPublish, 3, "p0.1#1", "p1.1", "published"))
+	m.Observe(ev(100, trace.KindSend, 0, "p0.1#1", "p1.1", trace.NoteFrame))
+	m.Observe(ev(200, trace.KindDeliver, 1, "p0.1#1", "p1.1", trace.NoteQueued))
+	m.Observe(ev(300, trace.KindPublish, 3, "p0.1#1", "p1.1", trace.NotePublished))
 	// Recovery replays the message: the license precedes the re-delivery, so
 	// the second delivery is legitimate.
-	m.Observe(ev(900, trace.KindReplay, 1, "p0.1#1", "p1.1", "replayed"))
-	m.Observe(ev(950, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
+	m.Observe(ev(900, trace.KindReplay, 1, "p0.1#1", "p1.1", trace.NoteReplayedFrom))
+	m.Observe(ev(950, trace.KindDeliver, 1, "p0.1#1", "p1.1", trace.NoteQueued))
 	wantViolations(t, m)
 	// A second delivery of the same replayed copy is again a duplicate.
-	m.Observe(ev(980, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
+	m.Observe(ev(980, trace.KindDeliver, 1, "p0.1#1", "p1.1", trace.NoteQueued))
 	wantViolations(t, m, InvExactlyOnce)
 }
 
 func TestRetransmitDoesNotCountAsFreshSend(t *testing.T) {
 	m, _ := newTest(Config{})
-	m.Observe(ev(100, trace.KindSend, 0, "p0.1#1", "p1.1", "guaranteed"))
-	m.Observe(ev(150, trace.KindSend, 0, "p0.1#1", "p1.1", "retransmit #2"))
-	m.Observe(ev(160, trace.KindRecoveryStart, 3, "", "p0.1", "recovering"))
-	m.Observe(ev(200, trace.KindSend, 0, "p0.1#1", "p1.1", "retransmit #3"))
-	m.Observe(ev(300, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
-	m.Observe(ev(350, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
+	m.Observe(ev(100, trace.KindSend, 0, "p0.1#1", "p1.1", trace.NoteFrame))
+	m.Observe(ev(150, trace.KindSend, 0, "p0.1#1", "p1.1", trace.NoteRetransmit))
+	m.Observe(ev(160, trace.KindRecoveryStart, 3, "", "p0.1", trace.NoteNone))
+	m.Observe(ev(200, trace.KindSend, 0, "p0.1#1", "p1.1", trace.NoteRetransmit))
+	m.Observe(ev(300, trace.KindDeliver, 1, "p0.1#1", "p1.1", trace.NoteQueued))
+	m.Observe(ev(350, trace.KindDeliver, 1, "p0.1#1", "p1.1", trace.NoteQueued))
 	// The duplicate is a transport failure (exactly-once), not re-executed
 	// output: no fresh send followed the sender's recovery.
 	wantViolations(t, m, InvExactlyOnce)
@@ -80,20 +97,20 @@ func TestRetransmitDoesNotCountAsFreshSend(t *testing.T) {
 
 func TestReexecOutputAttribution(t *testing.T) {
 	m, _ := newTest(Config{})
-	m.Observe(ev(100, trace.KindSend, 0, "p0.1#1", "p1.1", "guaranteed"))
-	m.Observe(ev(200, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
+	m.Observe(ev(100, trace.KindSend, 0, "p0.1#1", "p1.1", trace.NoteFrame))
+	m.Observe(ev(200, trace.KindDeliver, 1, "p0.1#1", "p1.1", trace.NoteQueued))
 	// The sender's node dies and is re-executed; the suppression window
 	// fails and the same message id goes out fresh again.
-	m.Observe(ev(5000, trace.KindRecoveryStart, 3, "", "p0.1", "recovering"))
-	m.Observe(ev(6000, trace.KindSend, 0, "p0.1#1", "p1.1", "guaranteed"))
-	m.Observe(ev(6100, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
+	m.Observe(ev(5000, trace.KindRecoveryStart, 3, "", "p0.1", trace.NoteNone))
+	m.Observe(ev(6000, trace.KindSend, 0, "p0.1#1", "p1.1", trace.NoteFrame))
+	m.Observe(ev(6100, trace.KindDeliver, 1, "p0.1#1", "p1.1", trace.NoteQueued))
 	wantViolations(t, m, InvReexecOutput)
 }
 
 func TestAcceptanceOrderMonotonic(t *testing.T) {
 	m, _ := newTest(Config{})
 	pub := func(at simtime.Time, seq uint64) {
-		e := ev(at, trace.KindPublish, 3, "p0.1#1", "p1.1", "published")
+		e := ev(at, trace.KindPublish, 3, "p0.1#1", "p1.1", trace.NotePublished)
 		e.Seq = seq
 		m.Observe(e)
 	}
@@ -105,45 +122,44 @@ func TestAcceptanceOrderMonotonic(t *testing.T) {
 	wantViolations(t, m, InvAcceptanceOrder)
 	// A recorder crash resets that node's watermarks: the rebuilt database
 	// restarts streams, so a low seq after the crash is legitimate.
-	m.Observe(ev(500, trace.KindCrash, 3, "", "recorder", "recorder crash"))
+	m.Observe(ev(500, trace.KindCrash, 3, "", "recorder", trace.NoteNone))
 	pub(600, 1)
 	wantViolations(t, m, InvAcceptanceOrder)
 }
 
 func TestReplayBasisCoverage(t *testing.T) {
 	m, _ := newTest(Config{})
-	m.Observe(ev(100, trace.KindPublish, 3, "p0.1#1", "p1.1", "published"))
-	m.Observe(ev(900, trace.KindReplay, 1, "p0.1#1", "p1.1", "replayed"))
+	m.Observe(ev(100, trace.KindPublish, 3, "p0.1#1", "p1.1", trace.NotePublished))
+	m.Observe(ev(900, trace.KindReplay, 1, "p0.1#1", "p1.1", trace.NoteReplayedFrom))
 	wantViolations(t, m)
 	// Replaying a message never observed published for that stream is a
 	// corrupt replay basis; flagged once per (stream, message).
-	m.Observe(ev(950, trace.KindReplay, 1, "p0.1#2", "p1.1", "replayed"))
-	m.Observe(ev(960, trace.KindReplay, 1, "p0.1#2", "p1.1", "replayed"))
+	m.Observe(ev(950, trace.KindReplay, 1, "p0.1#2", "p1.1", trace.NoteReplayedFrom))
+	m.Observe(ev(960, trace.KindReplay, 1, "p0.1#2", "p1.1", trace.NoteReplayedFrom))
 	wantViolations(t, m, InvReplayBasis)
 }
 
 func TestGiveupInferenceEitherOrder(t *testing.T) {
-	inferred := "published (#4 in stream, inferred from later ack)"
 	// Give-up first, inference second.
 	m, _ := newTest(Config{})
-	m.Observe(ev(100, trace.KindSend, 0, "p0.1#1", "p1.1", "guaranteed"))
-	m.Observe(ev(5000, trace.KindGiveUp, 0, "p0.1#1", "p1.1", "gave up after 600 attempts"))
-	m.Observe(ev(6000, trace.KindPublish, 3, "p0.1#1", "p1.1", inferred))
+	m.Observe(ev(100, trace.KindSend, 0, "p0.1#1", "p1.1", trace.NoteFrame))
+	m.Observe(ev(5000, trace.KindGiveUp, 0, "p0.1#1", "p1.1", trace.NoteGaveUp))
+	m.Observe(ev(6000, trace.KindPublish, 3, "p0.1#1", "p1.1", trace.NoteInferred))
 	wantViolations(t, m, InvGiveupInference)
 
 	// Inference first, give-up second.
 	m2, _ := newTest(Config{})
-	m2.Observe(ev(100, trace.KindSend, 0, "p0.1#1", "p1.1", "guaranteed"))
-	m2.Observe(ev(4000, trace.KindPublish, 3, "p0.1#1", "p1.1", inferred))
-	m2.Observe(ev(5000, trace.KindGiveUp, 0, "p0.1#1", "p1.1", "gave up after 600 attempts"))
+	m2.Observe(ev(100, trace.KindSend, 0, "p0.1#1", "p1.1", trace.NoteFrame))
+	m2.Observe(ev(4000, trace.KindPublish, 3, "p0.1#1", "p1.1", trace.NoteInferred))
+	m2.Observe(ev(5000, trace.KindGiveUp, 0, "p0.1#1", "p1.1", trace.NoteGaveUp))
 	wantViolations(t, m2, InvGiveupInference)
 
 	// A delivery anywhere clears the premise: the message was not lost.
 	m3, _ := newTest(Config{})
-	m3.Observe(ev(100, trace.KindSend, 0, "p0.1#1", "p1.1", "guaranteed"))
-	m3.Observe(ev(200, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
-	m3.Observe(ev(4000, trace.KindPublish, 3, "p0.1#1", "p1.1", inferred))
-	m3.Observe(ev(5000, trace.KindGiveUp, 0, "p0.1#1", "p1.1", "gave up after 600 attempts"))
+	m3.Observe(ev(100, trace.KindSend, 0, "p0.1#1", "p1.1", trace.NoteFrame))
+	m3.Observe(ev(200, trace.KindDeliver, 1, "p0.1#1", "p1.1", trace.NoteQueued))
+	m3.Observe(ev(4000, trace.KindPublish, 3, "p0.1#1", "p1.1", trace.NoteInferred))
+	m3.Observe(ev(5000, trace.KindGiveUp, 0, "p0.1#1", "p1.1", trace.NoteGaveUp))
 	wantViolations(t, m3)
 }
 
@@ -154,7 +170,7 @@ func TestStallDetector(t *testing.T) {
 		QueueProbe:  func() (int64, string) { return queued, "n1=2" },
 	})
 	*now = simtime.Second
-	m.Observe(ev(*now, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
+	m.Observe(ev(*now, trace.KindDeliver, 1, "p0.1#1", "p1.1", trace.NoteQueued))
 	m.Tick() // records the progress baseline
 
 	// Progress pauses but queues are empty and nothing is in flight (the
@@ -183,7 +199,7 @@ func TestStallDetector(t *testing.T) {
 		t.Fatalf("stall episode re-fired: %v", m.Stalls())
 	}
 	// Fresh progress arms a new episode.
-	m.Observe(ev(*now, trace.KindDeliver, 1, "p0.1#2", "p1.1", "queued"))
+	m.Observe(ev(*now, trace.KindDeliver, 1, "p0.1#2", "p1.1", trace.NoteQueued))
 	m.Tick()
 	*now += 20 * simtime.Second
 	m.Tick()
@@ -200,16 +216,16 @@ func TestSLOHistogramsAndReport(t *testing.T) {
 	reg := metrics.NewRegistry()
 	m, _ := newTest(Config{Metrics: reg})
 	pub := func(at simtime.Time, seq uint64) {
-		e := ev(at, trace.KindPublish, 3, "p0.1#1", "p1.1", "published")
+		e := ev(at, trace.KindPublish, 3, "p0.1#1", "p1.1", trace.NotePublished)
 		e.Seq = seq
 		m.Observe(e)
 	}
-	m.Observe(ev(1000, trace.KindSend, 0, "p0.1#1", "p1.1", "guaranteed"))
-	m.Observe(ev(3000, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
+	m.Observe(ev(1000, trace.KindSend, 0, "p0.1#1", "p1.1", trace.NoteFrame))
+	m.Observe(ev(3000, trace.KindDeliver, 1, "p0.1#1", "p1.1", trace.NoteQueued))
 	pub(5000, 1)
 	// Only the first delivery and first publish observe latency.
-	m.Observe(ev(9000, trace.KindReplay, 1, "p0.1#1", "p1.1", "replayed"))
-	m.Observe(ev(9100, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
+	m.Observe(ev(9000, trace.KindReplay, 1, "p0.1#1", "p1.1", trace.NoteReplayedFrom))
+	m.Observe(ev(9100, trace.KindDeliver, 1, "p0.1#1", "p1.1", trace.NoteQueued))
 	pub(9200, 2)
 
 	if n := reg.Histogram(-1, "monitor", "deliver_latency_ns").Count(); n != 1 {
@@ -233,5 +249,57 @@ func TestNilMonitorIsSafe(t *testing.T) {
 	}
 	if got := m.Report(); !strings.Contains(got, "disabled") {
 		t.Fatalf("nil monitor report = %q", got)
+	}
+}
+
+// TestObserveSeenMessageDoesNotAllocate pins the monitor's per-event cost
+// on a message it already tracks at zero allocations: its maps key on the
+// comparable id structs, so a lookup hashes no text and builds none.
+func TestObserveSeenMessageDoesNotAllocate(t *testing.T) {
+	m, _ := newTest(Config{Metrics: metrics.NewRegistry()})
+	send := ev(100, trace.KindSend, 0, "p0.1#1", "p1.1", trace.NoteFrame)
+	m.Observe(send)
+	retransmit := ev(150, trace.KindSend, 0, "p0.1#1", "p1.1", trace.NoteRetransmit)
+	publish := ev(200, trace.KindPublish, 3, "p0.1#1", "p1.1", trace.NotePublished)
+	replay := ev(300, trace.KindReplay, 1, "p0.1#1", "p1.1", trace.NoteReplayedFrom)
+	deliver := ev(310, trace.KindDeliver, 1, "p0.1#1", "p1.1", trace.NoteQueued)
+	ack := ev(320, trace.KindAck, 0, "p0.1#1", "", trace.NoteAcked)
+	allocs := testing.AllocsPerRun(200, func() {
+		publish.Seq++
+		m.Observe(retransmit)
+		m.Observe(publish)
+		m.Observe(replay)
+		m.Observe(deliver)
+		m.Observe(ack)
+	})
+	if allocs != 0 {
+		t.Fatalf("observing a seen message allocated %.0f times per round, want 0", allocs)
+	}
+	wantViolations(t, m)
+}
+
+// TestShardOwnershipKeysOnProc checks the shard-ownership invariant against
+// the typed stream id: a recorder acting on a stream outside its replica set
+// is flagged once per (node, stream), and events naming no stream are left
+// to the owner's nil-ProcID answer.
+func TestShardOwnershipKeysOnProc(t *testing.T) {
+	owned := frame.ProcID{Node: 1, Local: 1}
+	var asked []frame.ProcID
+	m, _ := newTest(Config{ShardOwner: func(node int, p frame.ProcID) bool {
+		asked = append(asked, p)
+		return node != 5 || p == owned || p.IsNil()
+	}})
+	m.Observe(ev(100, trace.KindRecoveryStart, 5, "", "p1.1", trace.NoteNone))
+	m.Observe(ev(110, trace.KindReplay, 5, "", "p1.1", trace.NoteNone))
+	m.Observe(ev(120, trace.KindRecoveryDone, 5, "", "recorder", trace.NoteNone))
+	wantViolations(t, m)
+	m.Observe(ev(200, trace.KindReplay, 5, "", "p2.1", trace.NoteNone))
+	m.Observe(ev(210, trace.KindRecoveryDone, 5, "", "p2.1", trace.NoteNone))
+	wantViolations(t, m, InvShardOwnership)
+	if v := m.Violations()[0]; v.HasMsg || !strings.Contains(v.String(), "node 5 acted on stream p2.1") {
+		t.Fatalf("ownership violation text: %s", v)
+	}
+	if len(asked) != 5 || !asked[2].IsNil() {
+		t.Fatalf("owner asked about %v", asked)
 	}
 }

@@ -495,7 +495,7 @@ func (r *Recorder) handleHandoffCommit(m *peerMsg) {
 func (r *Recorder) installHandoffProc(blob *handoffProc) {
 	e := r.db[blob.Proc]
 	if e == nil {
-		e = &procEntry{Proc: blob.Proc, Node: blob.Node, have: make(map[frame.MsgID]bool)}
+		e = newProcEntry(blob.Proc, blob.Node)
 		e.Spec = blob.Spec
 		e.LastCkAt = r.sched.Now()
 		r.db[blob.Proc] = e
@@ -507,7 +507,7 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 			e.Arrivals = nil
 			e.Advisories = nil
 			r.persistDead(e)
-			r.store.Invalidate(msgKey(blob.Proc), e.ArrSeqNext)
+			r.store.Invalidate(e.msgKey, e.ArrSeqNext)
 			r.store.Invalidate(advKey(blob.Proc), e.AdvSeqNext)
 		}
 		return

@@ -48,6 +48,15 @@ func procKey(p frame.ProcID) string { return "proc:" + p.String() }
 func lastKey(p frame.ProcID) string { return "last:" + p.String() }
 func deadKey(p frame.ProcID) string { return "dead:" + p.String() }
 
+// newProcEntry returns an empty database record for p, with the strings
+// every publish needs formatted up front.
+func newProcEntry(p frame.ProcID, node frame.NodeID) *procEntry {
+	return &procEntry{
+		Proc: p, Node: node, have: make(map[frame.MsgID]bool),
+		name: p.String(), msgKey: msgKey(p), lastKey: lastKey(p),
+	}
+}
+
 const restartKey = "restart"
 
 // procMeta is the persisted registration record.
@@ -87,7 +96,7 @@ func (r *Recorder) append(rec stablestore.Record) {
 }
 
 func (r *Recorder) persistMessage(e *procEntry, sm *storedMsg) {
-	r.append(stablestore.Record{Kind: stablestore.KindMessage, Key: msgKey(e.Proc), Seq: sm.ArrSeq, Data: encWith(r, &msgCodec, sm)})
+	r.append(stablestore.Record{Kind: stablestore.KindMessage, Key: e.msgKey, Seq: sm.ArrSeq, Data: encWith(r, &msgCodec, sm)})
 }
 
 func (r *Recorder) persistAdvisory(e *procEntry, adv *advisory) {
@@ -102,7 +111,7 @@ func (r *Recorder) persistProcMeta(e *procEntry) {
 
 func (r *Recorder) persistLastSent(e *procEntry) {
 	e.Rev++
-	r.append(stablestore.Record{Kind: stablestore.KindMeta, Key: lastKey(e.Proc), Seq: e.Rev, Data: encWith(r, &lastCodec, &e.LastSent)})
+	r.append(stablestore.Record{Kind: stablestore.KindMeta, Key: e.lastKey, Seq: e.Rev, Data: encWith(r, &lastCodec, &e.LastSent)})
 }
 
 func (r *Recorder) persistDead(e *procEntry) {
@@ -131,7 +140,7 @@ func (r *Recorder) persistCheckpoint(e *procEntry, trimmed []storedMsg) {
 			AdvTrim:       e.AdvSeqNext,
 			RetainedOrder: retained,
 		})})
-	r.store.InvalidateSeqs(msgKey(e.Proc), dropped)
+	r.store.InvalidateSeqs(e.msgKey, dropped)
 	if e.AdvSeqNext > 0 {
 		r.store.Invalidate(advKey(e.Proc), e.AdvSeqNext-1)
 	}
@@ -166,7 +175,7 @@ func (r *Recorder) rebuild() error {
 	entry := func(p frame.ProcID) *procEntry {
 		e := r.db[p]
 		if e == nil {
-			e = &procEntry{Proc: p, Node: p.Node, have: make(map[frame.MsgID]bool)}
+			e = newProcEntry(p, p.Node)
 			r.db[p] = e
 		}
 		return e

@@ -260,6 +260,10 @@ type procEntry struct {
 	Spec demos.ProcSpec
 	Node frame.NodeID
 
+	// name, msgKey and lastKey are Proc's trace subject and its stable-store
+	// keys, formatted once rather than on every publish.
+	name, msgKey, lastKey string
+
 	LastSent uint64
 
 	Arrivals   []storedMsg
@@ -821,13 +825,13 @@ func (r *Recorder) observeAckRecord(id frame.MsgID, rcv frame.ProcID) {
 			continue
 		}
 		r.stats.MissedArrivals++
-		r.recordArrival(e, p, "published (#%d in stream, inferred from later ack)")
+		r.recordArrival(e, p, trace.NoteInferred)
 	}
-	r.recordArrival(e, sm, "published (#%d in stream)")
+	r.recordArrival(e, sm, trace.NotePublished)
 }
 
 // recordArrival appends one message to a process's published stream.
-func (r *Recorder) recordArrival(e *procEntry, sm *storedMsg, format string) {
+func (r *Recorder) recordArrival(e *procEntry, sm *storedMsg, note trace.Note) {
 	sm.ArrSeq = e.ArrSeqNext
 	e.ArrSeqNext++
 	e.Arrivals = append(e.Arrivals, *sm)
@@ -836,11 +840,10 @@ func (r *Recorder) recordArrival(e *procEntry, sm *storedMsg, format string) {
 	r.stats.BytesStored += uint64(len(sm.Body))
 	r.publishLat.Observe(int64(r.sched.Now() - sm.SeenAt))
 	r.persistMessage(e, sm)
-	if r.log.Enabled() {
-		// Event.Seq carries the acceptance-order position so online monitors
-		// can check per-stream monotonicity without parsing Detail.
-		r.log.AddMsgSeq(trace.KindPublish, int(r.cfg.Node), sm.ID.String(), e.Proc.String(), sm.ArrSeq, format, sm.ArrSeq)
-	}
+	// Event.Seq carries the acceptance-order position so online monitors
+	// can check per-stream monotonicity without parsing text.
+	r.log.Record(trace.Event{Kind: trace.KindPublish, Node: int(r.cfg.Node), Subject: e.name,
+		Msg: sm.ID, HasMsg: true, Proc: e.Proc, Seq: sm.ArrSeq, Note: note})
 	r.releaseStored(sm)
 }
 
@@ -889,7 +892,7 @@ func (r *Recorder) handleNotice(n *demos.Notice) {
 		}
 		e := r.db[n.Proc]
 		if e == nil {
-			e = &procEntry{Proc: n.Proc, have: make(map[frame.MsgID]bool)}
+			e = newProcEntry(n.Proc, 0)
 			r.db[n.Proc] = e
 		}
 		e.Spec = n.Spec
@@ -936,7 +939,7 @@ func (r *Recorder) handleNotice(n *demos.Notice) {
 			e.Arrivals = nil
 			e.Advisories = nil
 			r.persistDead(e)
-			r.store.Invalidate(msgKey(n.Proc), e.ArrSeqNext)
+			r.store.Invalidate(e.msgKey, e.ArrSeqNext)
 			r.store.Invalidate(advKey(n.Proc), e.AdvSeqNext)
 		}
 

@@ -254,7 +254,7 @@ func (r *Recorder) startRecovery(e *procEntry, target frame.NodeID) {
 	// len(e.Arrivals) is the replay count: reconstruct emits every arrival
 	// exactly once (advisories only reorder), so there is no need to build
 	// the whole ordered slice just to log its length.
-	r.log.Add(trace.KindRecoveryStart, int(r.cfg.Node), e.Proc.String(),
+	r.log.AddProc(trace.KindRecoveryStart, int(r.cfg.Node), e.Proc, e.name,
 		"recovery started (target n%d, %d messages to replay, checkpoint=%v)",
 		target, len(e.Arrivals), e.Checkpoint != nil)
 
@@ -286,7 +286,7 @@ func (r *Recorder) armRecoveryRetry(e *procEntry, rp *recoveryProc, gen uint64) 
 			return
 		}
 		if e.Recovering {
-			r.log.Add(trace.KindRecoveryStart, int(r.cfg.Node), e.Proc.String(), "recovery stalled; reinitiating (§3.5)")
+			r.log.AddProc(trace.KindRecoveryStart, int(r.cfg.Node), e.Proc, e.name, "recovery stalled; reinitiating (§3.5)")
 			r.startRecovery(e, rp.target)
 		}
 	})
@@ -334,12 +334,12 @@ func (r *Recorder) sendRecreate(e *procEntry, rp *recoveryProc, gen uint64) {
 		if err != nil {
 			// An undecodable reply says nothing about the kernel's decision;
 			// rep is meaningless here and must not be consulted.
-			r.log.Add(trace.KindRecoveryStart, int(r.cfg.Node), e.Proc.String(),
+			r.log.AddProc(trace.KindRecoveryStart, int(r.cfg.Node), e.Proc, e.name,
 				"recreate reply undecodable: %v", err)
 			return // the retry timer will reinitiate
 		}
 		if !rep.OK {
-			r.log.Add(trace.KindRecoveryStart, int(r.cfg.Node), e.Proc.String(),
+			r.log.AddProc(trace.KindRecoveryStart, int(r.cfg.Node), e.Proc, e.name,
 				"recreate refused by kernel: %s", rep.Err)
 			return // the retry timer will reinitiate
 		}

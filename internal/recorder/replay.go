@@ -204,7 +204,7 @@ func (bs *batchSender) sendBatch() bool {
 	bs.codes = append(bs.codes, code)
 	r.stats.ReplayBatches++
 	r.replayOcc.Add(1)
-	r.log.Add(trace.KindReplay, int(r.cfg.Node), bs.e.Proc.String(),
+	r.log.AddProc(trace.KindReplay, int(r.cfg.Node), bs.e.Proc, bs.e.name,
 		"replaying batch #%d (%d messages, %d B)", seq, count, len(buf))
 	return true
 }
@@ -217,11 +217,11 @@ func (bs *batchSender) onAck(f *frame.Frame) {
 	}
 	rep, err := demos.DecodeReply(f.Body)
 	if err != nil {
-		r.log.Add(trace.KindReplay, int(r.cfg.Node), bs.e.Proc.String(), "batch ack undecodable: %v", err)
+		r.log.AddProc(trace.KindReplay, int(r.cfg.Node), bs.e.Proc, bs.e.name, "batch ack undecodable: %v", err)
 		return // the recovery retry timer backstops a wedged window
 	}
 	if !rep.OK {
-		r.log.Add(trace.KindReplay, int(r.cfg.Node), bs.e.Proc.String(), "batch refused: %s", rep.Err)
+		r.log.AddProc(trace.KindReplay, int(r.cfg.Node), bs.e.Proc, bs.e.name, "batch refused: %s", rep.Err)
 		return
 	}
 	if rep.AckedBatch > bs.acked {
@@ -251,7 +251,7 @@ func (bs *batchSender) sendDone() {
 			delete(r.recovering, e.Proc)
 			delete(r.replaying, e.Proc)
 			r.stats.RecoveriesCompleted++
-			r.log.Add(trace.KindRecoveryDone, int(r.cfg.Node), e.Proc.String(), "recovered on n%d", rp.target)
+			r.log.AddProc(trace.KindRecoveryDone, int(r.cfg.Node), e.Proc, e.name, "recovered on n%d", rp.target)
 		})
 }
 

@@ -41,7 +41,7 @@ func chromePid(node int) int { return node + 1 }
 func chromeTs(t simtime.Time) float64 { return float64(t) / float64(simtime.Microsecond) }
 
 // WriteChrome writes events as Chrome trace-event JSON. Every event appears
-// as an instant on its node's timeline; message-scoped events (Msg != "")
+// as an instant on its node's timeline; message-scoped events (HasMsg)
 // additionally form an async span per message id: KindSend opens it,
 // KindAck closes it, and everything between — publish, delivery, replay —
 // lands inside it as async instants sharing the id. Replay events therefore
@@ -78,12 +78,14 @@ func WriteChrome(w io.Writer, events []Event) error {
 
 	for i := range events {
 		e := &events[i]
-		args := map[string]string{"subject": e.Subject}
-		if e.Detail != "" {
-			args["detail"] = e.Detail
+		args := map[string]string{"subject": e.SubjectText()}
+		if d := e.DetailText(); d != "" {
+			args["detail"] = d
 		}
-		if e.Msg != "" {
-			args["msg"] = e.Msg
+		var id string
+		if e.HasMsg {
+			id = e.Msg.String()
+			args["msg"] = id
 		}
 		ce := chromeEvent{
 			Name:  e.Kind.String(),
@@ -95,7 +97,7 @@ func WriteChrome(w io.Writer, events []Event) error {
 			Args:  args,
 		}
 		file.TraceEvents = append(file.TraceEvents, ce)
-		if e.Msg == "" {
+		if !e.HasMsg {
 			continue
 		}
 		// The async span of this message's lifetime, keyed by its id.
@@ -104,7 +106,7 @@ func WriteChrome(w io.Writer, events []Event) error {
 			Cat:  "msg",
 			Ts:   ce.Ts,
 			Pid:  ce.Pid,
-			ID:   e.Msg,
+			ID:   id,
 			Args: map[string]string{"kind": e.Kind.String()},
 		}
 		switch e.Kind {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"publishing/internal/frame"
 	"publishing/internal/simtime"
 )
 
@@ -23,13 +24,14 @@ func decodeChrome(t *testing.T, data []byte) []map[string]any {
 func TestWriteChromeSpansAndMetadata(t *testing.T) {
 	now := simtime.Time(0)
 	l := New(func() simtime.Time { return now })
-	l.AddMsg(KindSend, 0, "m1", "m1", "sent")
+	m1 := frame.MsgID{Sender: frame.ProcID{Node: 0, Local: 1}, Seq: 1}
+	l.AddMsg(KindSend, 0, m1, "", "sent")
 	now = 2 * simtime.Microsecond
-	l.AddMsg(KindPublish, 2, "m1", "p0.1", "published")
+	l.AddMsg(KindPublish, 2, m1, "p0.1", "published")
 	now = 4 * simtime.Microsecond
-	l.AddMsg(KindReplay, 1, "m1", "p1.1", "replayed")
+	l.AddMsg(KindReplay, 1, m1, "p1.1", "replayed")
 	now = 6 * simtime.Microsecond
-	l.AddMsg(KindAck, 0, "m1", "m1", "acked")
+	l.AddMsg(KindAck, 0, m1, "", "acked")
 	l.Add(KindCollision, -1, "wire", "two senders")
 
 	var buf bytes.Buffer
@@ -57,8 +59,8 @@ func TestWriteChromeSpansAndMetadata(t *testing.T) {
 	for _, e := range events {
 		switch e["ph"] {
 		case "b", "e", "n":
-			if e["id"] != "m1" {
-				t.Fatalf("span event with id %v, want m1", e["id"])
+			if e["id"] != "p0.1#1" {
+				t.Fatalf("span event with id %v, want p0.1#1", e["id"])
 			}
 		}
 	}

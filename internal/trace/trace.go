@@ -8,6 +8,10 @@
 // message can be followed causally from send through medium tap, recorder
 // publish, delivery, ack, and recovery replay. WriteChrome (chrome.go) turns
 // that thread into per-node timelines viewable in about:tracing / Perfetto.
+//
+// Events are typed: ids are frame.MsgID / frame.ProcID values, and the hot
+// paths (Record) store a Note with integer arguments instead of text. Only
+// the exporters format; recording a typed event allocates nothing.
 package trace
 
 import (
@@ -15,6 +19,7 @@ import (
 	"io"
 	"strings"
 
+	"publishing/internal/frame"
 	"publishing/internal/simtime"
 )
 
@@ -56,6 +61,40 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
+// Note names the text of a typed event: the recording site stores the
+// note and its integer arguments, and the exporters (String, Dump,
+// WriteChrome, the monitor's Explain) format the text. Hot paths record
+// notes, so recording an event formats nothing.
+type Note uint8
+
+const (
+	// NoteNone: the event's text is Detail, as given.
+	NoteNone Note = iota
+	// NoteFrame is a kernel's guaranteed send of Msg to process Proc,
+	// formatted like frame.Frame.String: A is the channel, B the body length.
+	NoteFrame
+	// NoteRetransmit: retransmission number A of Msg.
+	NoteRetransmit
+	// NoteGaveUp: the sender gave up on Msg after A attempts.
+	NoteGaveUp
+	// NoteAcked: Msg's end-to-end ack arrived after A attempts.
+	NoteAcked
+	// NoteQueued: Msg entered its receiver's queue on channel A.
+	NoteQueued
+	// NoteReplayedFrom: Msg was replayed from replay batch A.
+	NoteReplayedFrom
+	// NoteReplayedBatch: replay batch A (B messages) was applied.
+	NoteReplayedBatch
+	// NotePublished: Msg was published at position Seq of the stream.
+	NotePublished
+	// NoteInferred is NotePublished for a message whose record the tap
+	// missed and the recorder inferred from a later cumulative ack.
+	NoteInferred
+	// NoteSuppressed: a recovering process's resend number A was
+	// suppressed, A <= B, the last sequence its pre-crash self sent.
+	NoteSuppressed
+)
+
 // Event is one recorded occurrence.
 type Event struct {
 	At   simtime.Time
@@ -63,26 +102,82 @@ type Event struct {
 	// Node is the node id the event happened on, or -1 for medium-level
 	// events with no single node.
 	Node int
-	// Subject identifies the process/message involved, free-form.
+	// Subject identifies the process/message involved, free-form. Typed
+	// events whose subject is their message id leave it empty rather than
+	// format the id; SubjectText returns what the exporters print.
 	Subject string
-	// Msg is the id of the message this event concerns, or "" for events
-	// that are not message-scoped. It is the causal key: every event
-	// carrying the same Msg belongs to one message's lifetime.
-	Msg string
+	// Msg is the id of the message this event concerns, when HasMsg is set.
+	// It is the causal key: every event carrying the same Msg belongs to one
+	// message's lifetime.
+	Msg frame.MsgID
+	// HasMsg marks the event message-scoped. A flag rather than a nil check
+	// because the zero MsgID is a real id: node 0's kernel process is the
+	// zero ProcID.
+	HasMsg bool
+	// Proc is the process stream the event concerns, when there is one:
+	// the receiver of a delivery or replay, the stream a publish lands in,
+	// the process a recovery is about. A kernel send's Proc is the
+	// destination.
+	Proc frame.ProcID
 	// Seq is an event-kind-specific sequence number: for KindPublish it is
 	// the recorder's acceptance-order position in the destination stream
 	// (the value online monitors check monotonicity of). Zero elsewhere.
 	Seq uint64
-	// Detail is a human-readable explanation.
+	// Note, when set, names the event's text; A and B are its integer
+	// arguments (see each Note).
+	Note Note
+	A, B int64
+	// Detail is a human-readable explanation, for events without a Note.
 	Detail string
+}
+
+// SubjectText returns the subject the exporters print: Subject, or the
+// message id when the recording site left Subject empty.
+func (e *Event) SubjectText() string {
+	if e.Subject == "" && e.HasMsg {
+		return e.Msg.String()
+	}
+	return e.Subject
+}
+
+// DetailText returns the event's explanation: Detail, or the text of its
+// Note formatted from the typed fields.
+func (e *Event) DetailText() string {
+	switch e.Note {
+	case NoteFrame:
+		return fmt.Sprintf("%s %s %s->%s ch=%d len=%d", frame.Guaranteed, e.Msg, e.Msg.Sender, e.Proc, e.A, e.B)
+	case NoteRetransmit:
+		return fmt.Sprintf("retransmit #%d", e.A)
+	case NoteGaveUp:
+		return fmt.Sprintf("gave up after %d attempts", e.A)
+	case NoteAcked:
+		return fmt.Sprintf("end-to-end ack after %d attempt(s)", e.A)
+	case NoteQueued:
+		return fmt.Sprintf("queued ch=%d", e.A)
+	case NoteReplayedFrom:
+		return fmt.Sprintf("replayed from batch #%d", e.A)
+	case NoteReplayedBatch:
+		return fmt.Sprintf("replayed batch #%d (%d messages)", e.A, e.B)
+	case NotePublished:
+		return fmt.Sprintf("published (#%d in stream)", e.Seq)
+	case NoteInferred:
+		return fmt.Sprintf("published (#%d in stream, inferred from later ack)", e.Seq)
+	case NoteSuppressed:
+		return fmt.Sprintf("suppressed resend #%d (<= %d)", e.A, e.B)
+	}
+	return e.Detail
 }
 
 // String formats the event as one log line.
 func (e Event) String() string {
-	if e.Msg != "" && e.Msg != e.Subject {
-		return fmt.Sprintf("%12s node=%-2d %-14s %-22s %s msg=%s", e.At, e.Node, e.Kind, e.Subject, e.Detail, e.Msg)
+	subject := e.SubjectText()
+	// An empty Subject already printed the id; only a given one can differ.
+	if e.HasMsg && e.Subject != "" {
+		if id := e.Msg.String(); id != subject {
+			return fmt.Sprintf("%12s node=%-2d %-14s %-22s %s msg=%s", e.At, e.Node, e.Kind, subject, e.DetailText(), id)
+		}
 	}
-	return fmt.Sprintf("%12s node=%-2d %-14s %-22s %s", e.At, e.Node, e.Kind, e.Subject, e.Detail)
+	return fmt.Sprintf("%12s node=%-2d %-14s %-22s %s", e.At, e.Node, e.Kind, subject, e.DetailText())
 }
 
 // Log collects events. The zero value is ready to use and records nothing
@@ -105,8 +200,8 @@ type Log struct {
 	sink    io.Writer
 	clock   func() simtime.Time
 	// filter, when non-nil, drops events for which it returns false. It
-	// runs before Detail is formatted (Detail is always "" inside the
-	// filter), so rejected events cost no fmt work.
+	// runs before an Add's Detail is formatted (Detail is always "" inside
+	// the filter), so rejected events cost no fmt work.
 	filter func(Event) bool
 	// observer, when non-nil, sees every enabled event — including events
 	// the filter rejects from retention — with Detail formatted. It is the
@@ -137,7 +232,7 @@ func (l *Log) SetSink(w io.Writer) {
 
 // SetFilter installs a predicate; events failing it are not recorded. The
 // predicate sees the event before Detail formatting (Detail is ""): filter
-// on Kind, Node, Subject, or Msg.
+// on Kind, Node, Subject, Msg, Proc, or Note.
 func (l *Log) SetFilter(f func(Event) bool) {
 	if l != nil {
 		l.filter = f
@@ -219,9 +314,9 @@ func (l *Log) SetDetailed(on bool) {
 // Detailed reports whether fine-grained per-message events are wanted.
 func (l *Log) Detailed() bool { return l != nil && l.detailed }
 
-// Enabled reports whether the log is recording at all. Hot paths that
-// pre-format arguments (message ids, frame summaries) consult it so a
-// disabled trace costs a nil check and a branch, not a fmt call.
+// Enabled reports whether the log is recording at all. Paths that build
+// text for Add consult it so a disabled trace costs a nil check and a
+// branch, not a fmt call.
 func (l *Log) Enabled() bool { return l != nil && l.enabled }
 
 // SetFlightRecorder bounds the log to the most recent n events (n <= 0
@@ -257,32 +352,30 @@ func (l *Log) Dropped() uint64 {
 	return l.dropped
 }
 
-// Add records an event.
+// Add records an event with free-form text.
 func (l *Log) Add(kind Kind, node int, subject, format string, args ...any) {
-	l.record(kind, node, "", subject, 0, format, args...)
+	l.add(Event{Kind: kind, Node: node, Subject: subject}, format, args)
 }
 
 // AddMsg records an event about one particular message: msg is the
 // message's id, the causal key exporters group a message's lifetime by.
-func (l *Log) AddMsg(kind Kind, node int, msg, subject, format string, args ...any) {
-	l.record(kind, node, msg, subject, 0, format, args...)
+func (l *Log) AddMsg(kind Kind, node int, msg frame.MsgID, subject, format string, args ...any) {
+	l.add(Event{Kind: kind, Node: node, Subject: subject, Msg: msg, HasMsg: true}, format, args)
 }
 
-// AddMsgSeq is AddMsg with an event sequence number (Event.Seq) attached —
-// the recorder stamps KindPublish events with their acceptance-order
-// position through this.
-func (l *Log) AddMsgSeq(kind Kind, node int, msg, subject string, seq uint64, format string, args ...any) {
-	l.record(kind, node, msg, subject, seq, format, args...)
+// AddProc records an event about one process stream: proc is the typed id
+// the monitor keys on, subject its text.
+func (l *Log) AddProc(kind Kind, node int, proc frame.ProcID, subject, format string, args ...any) {
+	l.add(Event{Kind: kind, Node: node, Subject: subject, Proc: proc}, format, args)
 }
 
-func (l *Log) record(kind Kind, node int, msg, subject string, seq uint64, format string, args ...any) {
+// add formats the event's Detail, after the retention filter, and records
+// it.
+func (l *Log) add(e Event, format string, args []any) {
 	if l == nil || !l.enabled {
 		return
 	}
-	e := Event{Kind: kind, Node: node, Subject: subject, Msg: msg, Seq: seq}
-	if l.clock != nil {
-		e.At = l.clock()
-	}
+	l.stamp(&e)
 	// The filter runs before Detail exists, so a rejected event never pays
 	// for formatting — unless an observer is installed, which must see the
 	// formatted event whatever the retention filter decides.
@@ -295,6 +388,33 @@ func (l *Log) record(kind Kind, node int, msg, subject string, seq uint64, forma
 	} else {
 		e.Detail = fmt.Sprintf(format, args...)
 	}
+	l.deliver(e, keep)
+}
+
+// Record records a typed event: e carries ids, a Note and its integer
+// arguments, and a Subject the caller already holds (or none), so the hot
+// paths that use Record format nothing. Record stamps e.At from the log's
+// clock.
+func (l *Log) Record(e Event) {
+	if l == nil || !l.enabled {
+		return
+	}
+	l.stamp(&e)
+	keep := l.filter == nil || l.filter(e)
+	if !keep && l.observer == nil {
+		return
+	}
+	l.deliver(e, keep)
+}
+
+func (l *Log) stamp(e *Event) {
+	if l.clock != nil {
+		e.At = l.clock()
+	}
+}
+
+// deliver hands e to the observer and, when keep, retains it.
+func (l *Log) deliver(e Event, keep bool) {
 	if l.observer != nil {
 		if l.obsCap > 0 {
 			l.obsBuf = append(l.obsBuf, e)
@@ -392,7 +512,7 @@ func (l *Log) Count(k Kind) int {
 func (l *Log) CountSubject(k Kind, subject string) int {
 	n := 0
 	l.each(func(e *Event) {
-		if e.Kind == k && e.Subject == subject {
+		if e.Kind == k && e.SubjectText() == subject {
 			n++
 		}
 	})
@@ -403,7 +523,7 @@ func (l *Log) CountSubject(k Kind, subject string) int {
 func (l *Log) Contains(k Kind, s string) bool {
 	found := false
 	l.each(func(e *Event) {
-		if !found && e.Kind == k && strings.Contains(e.Detail, s) {
+		if !found && e.Kind == k && strings.Contains(e.DetailText(), s) {
 			found = true
 		}
 	})

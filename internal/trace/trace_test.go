@@ -5,13 +5,15 @@ import (
 	"strings"
 	"testing"
 
+	"publishing/internal/frame"
 	"publishing/internal/simtime"
 )
 
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
 	l.Add(KindSend, 1, "x", "anything %d", 42)
-	l.AddMsg(KindSend, 1, "m1", "x", "anything")
+	l.AddMsg(KindSend, 1, frame.MsgID{}, "x", "anything")
+	l.Record(Event{Kind: KindSend, Note: NoteRetransmit, A: 1})
 	l.Enable(true)
 	l.SetSink(&bytes.Buffer{})
 	l.SetFilter(func(Event) bool { return true })
@@ -128,13 +130,14 @@ func TestFilterSeesMsgAndSinkGetsFiltered(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(nil)
 	l.SetSink(&buf)
-	l.SetFilter(func(e Event) bool { return e.Msg == "keep-me" })
-	l.AddMsg(KindSend, 0, "drop-me", "s", "a")
-	l.AddMsg(KindSend, 0, "keep-me", "s", "b")
+	keep := frame.MsgID{Sender: frame.ProcID{Node: 2, Local: 1}, Seq: 9}
+	l.SetFilter(func(e Event) bool { return e.Msg == keep })
+	l.AddMsg(KindSend, 0, frame.MsgID{Sender: keep.Sender, Seq: 8}, "s", "a")
+	l.AddMsg(KindSend, 0, keep, "s", "b")
 	if got := l.Count(KindSend); got != 1 {
 		t.Fatalf("recorded %d, want 1", got)
 	}
-	if out := buf.String(); !strings.Contains(out, "keep-me") || strings.Contains(out, "drop-me") {
+	if out := buf.String(); !strings.Contains(out, "p2.1#9") || strings.Contains(out, "p2.1#8") {
 		t.Fatalf("sink saw filtered event: %q", out)
 	}
 }
@@ -205,18 +208,23 @@ func TestFlightRecorderWraparound(t *testing.T) {
 
 func TestAddMsgThreadsCausalKey(t *testing.T) {
 	l := New(nil)
-	l.AddMsg(KindPublish, 1, "p0.1#7", "p0.1", "published")
+	p01 := frame.ProcID{Node: 0, Local: 1}
+	l.AddMsg(KindPublish, 1, frame.MsgID{Sender: p01, Seq: 7}, "p0.1", "published")
 	e := l.Events()[0]
-	if e.Msg != "p0.1#7" {
-		t.Fatalf("Msg = %q", e.Msg)
+	if !e.HasMsg || e.Msg != (frame.MsgID{Sender: p01, Seq: 7}) {
+		t.Fatalf("Msg = %v", e.Msg)
 	}
 	if s := e.String(); !strings.Contains(s, "msg=p0.1#7") {
 		t.Fatalf("Event.String lost the id: %q", s)
 	}
-	// When the subject IS the id, the suffix would be noise.
-	l.AddMsg(KindSend, 1, "p0.1#8", "p0.1#8", "sent")
-	if s := l.Events()[1].String(); strings.Contains(s, "msg=") {
-		t.Fatalf("redundant msg suffix: %q", s)
+	// When the subject IS the id, the suffix would be noise — whether the
+	// subject was given as text or left for the exporter to format.
+	l.AddMsg(KindSend, 1, frame.MsgID{Sender: p01, Seq: 8}, "p0.1#8", "sent")
+	l.AddMsg(KindSend, 1, frame.MsgID{Sender: p01, Seq: 9}, "", "sent")
+	for _, e := range l.Events()[1:] {
+		if s := e.String(); strings.Contains(s, "msg=") || !strings.Contains(s, "p0.1#") {
+			t.Fatalf("redundant or missing msg: %q", s)
+		}
 	}
 }
 

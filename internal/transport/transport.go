@@ -785,9 +785,8 @@ func (e *Endpoint) retransmit(fl *flight) {
 		// premise the recorder's cumulative-ack inference must not cross —
 		// internal/monitor keys its giveup-inference invariant off it.
 		e.stats.GaveUp++
-		id := fl.f.ID.String()
-		e.log.AddMsg(trace.KindGiveUp, int(e.node), id, id,
-			"gave up after %d attempts", fl.attempts)
+		e.log.Record(trace.Event{Kind: trace.KindGiveUp, Node: int(e.node), Msg: fl.f.ID, HasMsg: true,
+			Note: trace.NoteGaveUp, A: int64(fl.attempts)})
 		e.finish(fl.f)
 		if e.OnGiveUp != nil {
 			e.OnGiveUp(fl.f)
@@ -798,8 +797,8 @@ func (e *Endpoint) retransmit(fl *flight) {
 	if e.cfg.AdaptiveRTO {
 		e.backoffRTO(fl.f.Dst)
 	}
-	id := fl.f.ID.String()
-	e.log.AddMsg(trace.KindSend, int(e.node), id, id, "retransmit #%d", fl.attempts)
+	e.log.Record(trace.Event{Kind: trace.KindSend, Node: int(e.node), Msg: fl.f.ID, HasMsg: true,
+		Note: trace.NoteRetransmit, A: int64(fl.attempts)})
 	e.transmit(fl)
 }
 
@@ -928,9 +927,8 @@ func (e *Endpoint) ackOne(fl *flight) {
 	e.stats.AcksReceived++
 	e.observeRTT(fl)
 	if e.log.Detailed() {
-		id := fl.f.ID.String()
-		e.log.AddMsg(trace.KindAck, int(e.node), id, id,
-			"end-to-end ack after %d attempt(s)", fl.attempts)
+		e.log.Record(trace.Event{Kind: trace.KindAck, Node: int(e.node), Msg: fl.f.ID, HasMsg: true,
+			Note: trace.NoteAcked, A: int64(fl.attempts)})
 	}
 	if e.OnAck != nil {
 		e.OnAck(fl.f.ID)
@@ -1002,8 +1000,7 @@ func (e *Endpoint) handleGuaranteed(f *frame.Frame) {
 			if _, ok := e.held[f.ID]; ok {
 				delete(e.held, f.ID)
 				e.stats.RecorderExpired++
-				id := f.ID.String()
-				e.log.AddMsg(trace.KindDrop, int(e.node), id, id,
+				e.log.AddMsg(trace.KindDrop, int(e.node), f.ID, "",
 					"discarded: no recorder ack (will be resent)")
 			}
 		})

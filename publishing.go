@@ -514,11 +514,7 @@ func (c *Cluster) bootSystemProcs() {
 // replay licenses must precede the deliveries they license), so it turns
 // detailed tracing on; event retention is unaffected.
 func (c *Cluster) attachMonitor() {
-	nodes := make([]NodeID, 0, len(c.kernels))
-	for id := range c.kernels {
-		nodes = append(nodes, id)
-	}
-	sortNodes(nodes)
+	nodes := c.Nodes()
 	probe := func() (int64, string) {
 		var total int64
 		var b strings.Builder
@@ -534,20 +530,18 @@ func (c *Cluster) attachMonitor() {
 		}
 		return total, b.String()
 	}
-	var shardOwner func(node int, proc string) bool
+	var shardOwner func(node int, proc frame.ProcID) bool
 	if c.shards != nil {
 		nNodes, shards := c.cfg.Nodes, c.shards
-		shardOwner = func(node int, proc string) bool {
+		shardOwner = func(node int, proc frame.ProcID) bool {
 			rank := node - nNodes
 			if rank < 0 || rank >= shards.Recorders() {
 				return true // processing nodes own no shards; unconstrained
 			}
-			var pn, pl int
-			if n, err := fmt.Sscanf(proc, "p%d.%d", &pn, &pl); err != nil || n != 2 {
+			if proc.IsNil() {
 				return true // not a process stream (e.g. "recorder" crash events)
 			}
-			p := frame.ProcID{Node: frame.NodeID(pn), Local: uint32(pl)}
-			return shards.Replicates(rank, shards.ShardOf(p))
+			return shards.Replicates(rank, shards.ShardOf(proc))
 		}
 	}
 	c.mon = monitor.New(monitor.Config{
@@ -596,9 +590,13 @@ func (c *Cluster) armCheckpointTick() {
 		pol = checkpoint.BoundPolicy{Margin: 0.9}
 	}
 	lp := checkpoint.Fig31Params()
+	// Visit nodes in id order: checkpointing sends notices and charges CPU,
+	// so map order would make same-seed runs diverge.
+	nodes := c.Nodes()
 	var tick func()
 	tick = func() {
-		for _, k := range c.kernels {
+		for _, id := range nodes {
+			k := c.kernels[id]
 			if k.Crashed() {
 				continue
 			}

@@ -150,3 +150,51 @@ func TestChaosSmoke1024(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckpointTickDeterminism runs a 16-node cluster under the
+// storage-balance checkpoint policy twice with the same seed. Checkpoints
+// fire on several nodes within one tick, and each sends a notice and
+// charges CPU, so the order the tick visits nodes in is observable: the
+// metrics snapshots and recorder databases must still come out
+// byte-identical.
+func TestCheckpointTickDeterminism(t *testing.T) {
+	run := func() (metricsText, storeDump []byte, ckNodes int) {
+		s := buildSimCluster(16, simClusterSeed, false, func(cfg *publishing.Config) {
+			cfg.CheckpointPolicy = publishing.CheckpointStorage
+			cfg.CheckpointTick = 100 * simtime.Millisecond
+		})
+		s.c.Run(s.horizon + 2*simtime.Second)
+		if got, want := atomic.LoadInt64(s.delivered), int64(s.sent); got != want {
+			t.Fatalf("delivered %d of %d messages", got, want)
+		}
+		for _, n := range s.c.Nodes() {
+			if s.c.Kernel(n).Stats().Checkpoints > 0 {
+				ckNodes++
+			}
+		}
+		var mbuf bytes.Buffer
+		if err := s.c.Metrics().Snapshot().WriteText(&mbuf); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := s.c.Store().ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dbuf bytes.Buffer
+		for _, r := range recs {
+			fmt.Fprintf(&dbuf, "%d %q %d %x\n", r.Kind, r.Key, r.Seq, r.Data)
+		}
+		return mbuf.Bytes(), dbuf.Bytes(), ckNodes
+	}
+	m1, d1, ck := run()
+	if ck < 2 {
+		t.Fatalf("checkpoints on %d nodes; the scenario must checkpoint on several", ck)
+	}
+	m2, d2, _ := run()
+	if !bytes.Equal(m1, m2) {
+		t.Errorf("metrics snapshots differ between same-seed runs")
+	}
+	if !bytes.Equal(d1, d2) {
+		t.Errorf("recorder databases differ between same-seed runs (%d vs %d bytes)", len(d1), len(d2))
+	}
+}

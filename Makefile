@@ -3,12 +3,13 @@
 
 GO ?= go
 
-.PHONY: check vet build test race monitor perfbench sweep-verify chaos shards fuzz bench bench-json bench-recovery bench-transport bench-store bench-sim bench-recorder scale-smoke par sweep
+.PHONY: check vet build test race monitor perfbench sweep-verify chaos shards fuzz bench bench-json bench-recovery bench-transport bench-store bench-sim bench-recorder scale-smoke sweep
 
-check: vet build test race monitor perfbench sweep-verify chaos shards par fuzz scale-smoke bench-transport bench-store bench-sim bench-recorder
+check: vet build test race monitor perfbench sweep-verify chaos shards fuzz scale-smoke bench-transport bench-store bench-sim bench-recorder
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -139,36 +140,26 @@ endif
 
 # The big-cluster simulator-throughput trajectory: events per wall second
 # and virtual seconds per wall second on the workload-driven broadcast
-# scenario at 8/64/256/1024 nodes, plus the parallel-engine and monitored
-# variants (see EXPERIMENTS.md). The default (check-time) run measures once
+# scenario at 8/64/256/1024 nodes, plus the monitored variant (see
+# EXPERIMENTS.md). The default (check-time) run measures once
 # per size and prints the snapshot without touching the committed
 # BENCH_sim.json; refresh the trajectory's "after" half with
 # `make bench-sim OUT=BENCH_sim.json` (the committed before half — the
 # pre-overhaul hot loop — is preserved).
 bench-sim:
 ifdef OUT
-	$(GO) test -bench BenchmarkSimThroughput -benchtime 2x -run '^$$' . 		| $(GO) run ./cmd/benchjson -after $(OUT) hot-loop overhaul + conservative parallel engine; observer-ring batched monitoring
+	$(GO) test -bench BenchmarkSimThroughput -benchtime 2x -run '^$$' . 		| $(GO) run ./cmd/benchjson -after $(OUT) hot-loop overhaul; observer-ring batched monitoring
 else
 	$(GO) test -bench BenchmarkSimThroughput -run '^$$' . | $(GO) run ./cmd/benchjson
 endif
 
 # The 256-node scale smokes: same-seed double-run byte-identity of metrics
 # and recorder databases, and the chaos-schedule sweep at cluster scale
-# (including the 1024-node serial+parallel leg). Both are testing.Short()-
+# (including the 1024-node run). Both are testing.Short()-
 # guarded so tier-1 `go test -short ./...` skips them; this target (wired
 # into check) runs them in full.
 scale-smoke:
 	$(GO) test -run 'TestScaleDeterminism256|TestChaosSmoke256|TestChaosSmoke1024' -count=1 -v .
-
-# The conservative parallel engine, race-checked: the engine's differential
-# unit oracles, the cluster-level serial-vs-parallel and double-run
-# byte-identity tests, the cross-engine sweep digests, and one chaos smoke
-# on the parallel engine. Wired into check, so every `make check` exercises
-# both execution engines against the same fingerprints.
-par:
-	$(GO) test -race -run 'TestEngine|TestWindow' -count=1 ./internal/simtime
-	$(GO) test -race -run 'TestParallel' -count=1 -v .
-	$(GO) test -race -run 'TestChaosSmoke1024/parallel' -count=1 .
 
 # Regenerate BENCH_sweep.json (parallel-vs-serial determinism proof).
 sweep:

@@ -17,7 +17,6 @@ package publishing_test
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,15 +28,6 @@ import (
 // simClusterSeed is the fixed scenario seed shared by the benchmarks, the
 // determinism tests, and the 256-node chaos smoke.
 const simClusterSeed = 7
-
-// simClusterResult is one scenario run's measurements.
-type simClusterResult struct {
-	sent      int     // guaranteed fan-out sends the workload issued
-	delivered int64   // messages the sink machines consumed
-	fired     uint64  // scheduler events executed
-	virtual   simtime.Time
-	wall      time.Duration
-}
 
 // simClusterScale derives the workload shape from the node count: ~8
 // messages per node at ~10 messages/second/proc, fan-out 2, with a fifth of
@@ -79,28 +69,6 @@ type simCluster struct {
 	horizon   simtime.Time
 	sent      int
 	delivered *int64
-}
-
-// runSimCluster builds an n-node cluster (plus recorder), drives the
-// workload scenario through it, and runs to a quiescent horizon. The event
-// trace is disabled, as any long scenario run would disable it — making
-// trace attribution free when off is part of what the benchmark measures.
-// With monitored set, the run instead carries the full online-observability
-// stack: tracing on (bounded by a flight-recorder ring) with the invariant
-// monitor subscribed — the overhead the monitored benchmark variant prices.
-func runSimCluster(nodes int, seed uint64, monitored bool, mutate ...func(*publishing.Config)) simClusterResult {
-	s := buildSimCluster(nodes, seed, monitored, mutate...)
-	start := time.Now()
-	// The horizon is the last arrival plus a drain window for retransmits,
-	// delayed acks, and recorder publishing to quiesce.
-	s.c.Run(s.horizon + 2*simtime.Second)
-	return simClusterResult{
-		sent:      s.sent,
-		delivered: atomic.LoadInt64(s.delivered),
-		fired:     s.c.Scheduler().Fired(),
-		virtual:   s.c.Now(),
-		wall:      time.Since(start),
-	}
 }
 
 // buildSimCluster assembles the scenario without running it. Optional
@@ -214,10 +182,7 @@ type simSink struct {
 func (s *simSink) Init(ctx *publishing.PCtx) {}
 func (s *simSink) Handle(ctx *publishing.PCtx, m publishing.Msg) {
 	s.n++
-	// The shared scenario counter is the one piece of cross-node test state:
-	// sinks on different nodes may run concurrently inside a parallel
-	// window, so the increment must be atomic (the sum is order-free).
-	atomic.AddInt64(s.delivered, 1)
+	*s.delivered++
 }
 func (s *simSink) Snapshot() ([]byte, error) {
 	var b [8]byte
@@ -239,21 +204,6 @@ func BenchmarkSimThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkSimThroughputParallel is the same scenario on the conservative
-// parallel engine (Config.ParWorkers = 4): the before/after pair against
-// BenchmarkSimThroughput is what BENCH_sim.json records. Speedup scales
-// with both the host's cores and the window occupancy — see the queuing
-// analysis in EXPERIMENTS.md for what to expect at a given load.
-func BenchmarkSimThroughputParallel(b *testing.B) {
-	for _, nodes := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("%dnodes", nodes), func(b *testing.B) {
-			benchSimCluster(b, nodes, false, func(cfg *publishing.Config) {
-				cfg.ParWorkers = 4
-			})
-		})
-	}
-}
-
 // BenchmarkSimThroughputMonitored is the 256-node scenario with the full
 // online-observability stack attached — tracing on behind a flight-recorder
 // ring, the invariant monitor subscribed to every event — pricing what
@@ -264,19 +214,30 @@ func BenchmarkSimThroughputMonitored(b *testing.B) {
 	})
 }
 
-func benchSimCluster(b *testing.B, nodes int, monitored bool, mutate ...func(*publishing.Config)) {
+// benchSimCluster builds an n-node cluster (plus recorder), drives the
+// workload scenario through it, and runs to a quiescent horizon. The event
+// trace is disabled, as any long scenario run would disable it — making
+// trace attribution free when off is part of what the benchmark measures.
+// With monitored set, the run instead carries the full online-observability
+// stack: tracing on (bounded by a flight-recorder ring) with the invariant
+// monitor subscribed — the overhead the monitored benchmark variant prices.
+func benchSimCluster(b *testing.B, nodes int, monitored bool) {
 	b.ReportAllocs()
 	var fired uint64
 	var wall time.Duration
 	var virtual simtime.Time
 	for i := 0; i < b.N; i++ {
-		r := runSimCluster(nodes, simClusterSeed, monitored, mutate...)
-		if r.delivered != int64(r.sent) {
-			b.Fatalf("delivered %d of %d messages", r.delivered, r.sent)
+		s := buildSimCluster(nodes, simClusterSeed, monitored)
+		start := time.Now()
+		// The horizon is the last arrival plus a drain window for
+		// retransmits, delayed acks, and recorder publishing to quiesce.
+		s.c.Run(s.horizon + 2*simtime.Second)
+		wall += time.Since(start)
+		if *s.delivered != int64(s.sent) {
+			b.Fatalf("delivered %d of %d messages", *s.delivered, s.sent)
 		}
-		fired += r.fired
-		wall += r.wall
-		virtual += r.virtual
+		fired += s.c.Scheduler().Fired()
+		virtual += s.c.Now()
 	}
 	sec := wall.Seconds()
 	b.ReportMetric(float64(fired)/sec, "events/s")

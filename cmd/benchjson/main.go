@@ -364,21 +364,14 @@ func parseLine(line string) (Bench, bool) {
 		return Bench{}, false
 	}
 	name := fields[0]
-	b := Bench{Name: name}
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		// The -P suffix is the run's GOMAXPROCS: record it as a "cores"
-		// extra so trajectory entries for parallel benchmarks carry the
-		// core budget the numbers were measured under.
-		if p, err := strconv.ParseFloat(name[i+1:], 64); err == nil && p > 0 {
-			b.Extra = map[string]float64{"cores": p}
-		}
-		b.Name = name[:i] // strip the -GOMAXPROCS suffix
+		name = name[:i] // strip the -GOMAXPROCS suffix
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
 		return Bench{}, false
 	}
-	b.Iters = iters
+	b := Bench{Name: name, Iters: iters}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {

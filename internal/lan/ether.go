@@ -219,10 +219,3 @@ func NewAckEther(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *t
 	}
 	return m
 }
-
-// Lookahead: zero. CSMA/CD consumes randomness (deference, collision
-// windows, backoff draws) on every steady-state send, so there is no
-// fault-free window in which events could run concurrently without
-// reordering RNG draws; the parallel engine executes Ether clusters
-// serially.
-func (m *Ether) Lookahead() simtime.Time { return 0 }

@@ -14,7 +14,6 @@ import (
 type Perfect struct {
 	base
 	busyUntil simtime.Time
-	eng       *simtime.Engine
 }
 
 // NewPerfect returns a perfect broadcast medium.
@@ -22,35 +21,9 @@ func NewPerfect(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *tr
 	return &Perfect{base: newBase(cfg, sched, rng, log)}
 }
 
-// SetEngine attaches the parallel engine. Sends issued from inside a
-// parallel execution window are then captured and applied at the merge
-// barrier in serial order, because the FIFO busy-until chain, the wire
-// stats, and the completion schedule are shared across every sending node.
-func (m *Perfect) SetEngine(e *simtime.Engine) { m.eng = e }
-
-// Lookahead: the earliest any frame can complete is one minimal frame time
-// after its send — the channel is FIFO with no preemption — so no node can
-// observe another node's action sooner than that.
-func (m *Perfect) Lookahead() simtime.Time { return m.cfg.FrameTime(0) }
-
-// Send schedules the frame for delivery after the channel drains.
-//
-// Frame ownership under concurrency: the frame is cloned before Send
-// returns on both paths below, so a captured send never retains a buffer
-// the caller may reuse — the clone is taken on the sending LP's worker,
-// and only the clone crosses the barrier.
+// Send schedules the frame for delivery after the channel drains. The
+// medium keeps a clone, so the caller may reuse f once Send returns.
 func (m *Perfect) Send(src frame.NodeID, f *frame.Frame) {
-	if e := m.eng; e != nil && e.InRound() {
-		g := f.Clone()
-		e.Defer(int(src), func() { m.send(src, g, true) })
-		return
-	}
-	m.send(src, f, false)
-}
-
-// send is the serial-context send path; owned marks a frame the medium
-// already exclusively owns (pre-cloned by a capturing Send).
-func (m *Perfect) send(src frame.NodeID, f *frame.Frame, owned bool) {
 	if m.faults.Down(src) {
 		return
 	}
@@ -64,10 +37,7 @@ func (m *Perfect) send(src frame.NodeID, f *frame.Frame, owned bool) {
 	end := start + m.cfg.FrameTime(n)
 	m.busyUntil = end
 	m.stats.BusyTime += end - start
-	g := f
-	if !owned {
-		g = f.Clone()
-	}
+	g := f.Clone()
 	m.maybeCorrupt(g)
 	m.sched.At(end, func() { m.complete(src, g) })
 }

@@ -124,11 +124,10 @@ type Config struct {
 	// recover-on-same-processor.
 	OnProcessorCrash func(node frame.NodeID) Decision
 	// TickSched, when set, schedules the periodic watchdog tick instead of
-	// the recorder's own clock. The parallel engine wires the serial
-	// scheduler here: the tick's crash decisions reach across nodes
-	// (RebootFn rebuilds a kernel), so it must never execute inside a
-	// concurrent window. Nil keeps the recorder's clock (serial engine).
-	TickSched simtime.Clock
+	// the recorder's own scheduler (a harness that measures the recorder in
+	// isolation points it at a scheduler it never runs). Nil keeps the
+	// recorder's scheduler.
+	TickSched *simtime.Scheduler
 	// RebootFn asks the outside world (the cluster, standing in for a
 	// front-panel reset) to reboot a crashed node.
 	RebootFn func(node frame.NodeID)
@@ -296,7 +295,7 @@ type procEntry struct {
 // recovery manager.
 type Recorder struct {
 	cfg   Config
-	sched simtime.Clock
+	sched *simtime.Scheduler
 	rng   *simtime.Rand
 	log   *trace.Log
 	med   lan.Medium
@@ -386,7 +385,7 @@ const (
 
 // New builds a recorder on the given medium and stable store, attaching
 // both its passive tap and its transport endpoint.
-func New(cfg Config, sched simtime.Clock, rng *simtime.Rand, log *trace.Log, med lan.Medium, store stablestore.Store, tcfg transport.Config) *Recorder {
+func New(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log, med lan.Medium, store stablestore.Store, tcfg transport.Config) *Recorder {
 	r := &Recorder{
 		cfg:         cfg,
 		sched:       sched,

@@ -62,10 +62,8 @@ type eventNode struct {
 	seq  uint64
 	fn   func()
 	gen  uint32 // incremented each time the node is re-armed
-	idx  int    // heap index; -1 not queued, -2 held by a parallel window
+	idx  int    // heap index; -1 when not queued
 	dead bool   // cancelled before firing (valid for the current gen)
-	aff  int32  // logical-process affinity (serialAff = engine-serial)
-	ref  int32  // parallel engine: execution-record index, -1 otherwise
 }
 
 // Event is a handle on a scheduled callback. It is a small value (copyable,
@@ -91,9 +89,7 @@ func (e Event) live() bool { return e.n != nil && e.n.gen == e.gen }
 // stale and Cancelled reports false (the event is simply done).
 func (e Event) Cancelled() bool { return e.live() && e.n.dead }
 
-// Pending reports whether the event is still queued to fire. An event held
-// by a parallel execution window (idx == -2, see par.go) is still pending:
-// it has neither fired nor been cancelled, exactly as if it were queued.
+// Pending reports whether the event is still queued to fire.
 func (e Event) Pending() bool { return e.live() && !e.n.dead && e.n.idx != -1 }
 
 // At reports the virtual time the event is scheduled for, or 0 once the
@@ -152,28 +148,18 @@ func (s *Scheduler) alloc() *eventNode {
 func (s *Scheduler) recycle(n *eventNode) {
 	n.fn = nil
 	n.idx = -1
-	n.ref = -1
 	s.free = append(s.free, n)
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // is a programming error and panics: silently reordering time would destroy
 // the causality the recorder depends on.
-//
-// Events scheduled through the Scheduler directly carry serial affinity:
-// the parallel engine (par.go) executes them alone, never concurrently with
-// other events. Per-LP affinity is assigned by the engine's LPClock views.
 func (s *Scheduler) At(t Time, fn func()) Event {
-	return s.atAff(serialAff, t, fn)
-}
-
-func (s *Scheduler) atAff(aff int32, t Time, fn func()) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: event scheduled in the past: %v < %v", t, s.now))
 	}
 	n := s.alloc()
 	n.at, n.seq, n.fn = t, s.seq, fn
-	n.aff, n.ref = aff, -1
 	s.seq++
 	s.push(n)
 	return Event{n: n, gen: n.gen}
@@ -192,13 +178,6 @@ func (s *Scheduler) After(d Time, fn func()) Event {
 func (s *Scheduler) Cancel(e Event) {
 	n := e.n
 	if n == nil || n.gen != e.gen || n.dead || n.idx == -1 {
-		return
-	}
-	if n.idx == -2 {
-		// Held by a parallel execution window (or buffered as an intent):
-		// mark dead; the window executor skips it and recycles at the merge
-		// barrier. Observably identical to immediate removal.
-		n.dead = true
 		return
 	}
 	n.dead = true

@@ -94,20 +94,20 @@ type Gen struct {
 	cfg Config
 	rng *simtime.Rand
 
-	now      simtime.Time
-	nextArr  simtime.Time
-	nextFl   simtime.Time
-	nextCk   simtime.Time
-	ckProc   int // rotation cursor
-	seq      []uint64
-	advSeq   []uint64
-	ckRev    []uint64
-	body     []byte
-	pending  []Op
-	stats    Stats
-	msgKeys  []string
-	advKeys  []string
-	ckKeys   []string
+	now     simtime.Time
+	nextArr simtime.Time
+	nextFl  simtime.Time
+	nextCk  simtime.Time
+	ckProc  int // rotation cursor
+	seq     []uint64
+	advSeq  []uint64
+	ckRev   []uint64
+	body    []byte
+	pending []Op
+	stats   Stats
+	msgKeys []string
+	advKeys []string
+	ckKeys  []string
 }
 
 // New builds a generator; Config zero values get the documented defaults.

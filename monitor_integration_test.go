@@ -10,12 +10,10 @@ package publishing_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"publishing"
 	"publishing/internal/chaos"
-	"publishing/internal/simtime"
 	"publishing/internal/trace"
 )
 
@@ -99,37 +97,7 @@ func TestMonitorReportDeterminism(t *testing.T) {
 // with byte-identical recorder databases. Any hidden influence — an event
 // reordered by observation, randomness drawn, state mutated — would split
 // the fingerprints.
-func TestMonitorPassivity(t *testing.T) {
-	dump := func(monitored bool) []byte {
-		s := buildSimCluster(64, simClusterSeed, monitored)
-		s.c.Run(s.horizon + 2*simtime.Second)
-		if got, want := *s.delivered, int64(s.sent); got != want {
-			t.Fatalf("monitored=%v: delivered %d of %d messages", monitored, got, want)
-		}
-		if monitored {
-			mon := s.c.Monitor()
-			if mon == nil {
-				t.Fatal("monitored cluster has no monitor")
-			}
-			if !mon.Passed() {
-				t.Fatalf("fault-free run violated online invariants:\n%s", mon.Report())
-			}
-		}
-		recs, err := s.c.Store().ReadAll()
-		if err != nil {
-			t.Fatalf("recorder store: %v", err)
-		}
-		var buf bytes.Buffer
-		for _, r := range recs {
-			fmt.Fprintf(&buf, "%d %q %d %x\n", r.Kind, r.Key, r.Seq, r.Data)
-		}
-		return buf.Bytes()
-	}
-	on, off := dump(true), dump(false)
-	if !bytes.Equal(on, off) {
-		t.Fatalf("recorder databases differ between monitored and bare runs (%d vs %d bytes)", len(on), len(off))
-	}
-}
+func TestMonitorPassivity(t *testing.T) { testMonitorPassivity(t) }
 
 // TestMonitorPassivitySharded re-pins the no-perturbation contract on the
 // sharded replicated recorder path: the 64-node scenario run on the recorder
@@ -139,40 +107,31 @@ func TestMonitorPassivity(t *testing.T) {
 // that the classic passivity test never exercises, so observation leaking
 // into any of it would split these fingerprints.
 func TestMonitorPassivitySharded(t *testing.T) {
-	sharded := func(cfg *publishing.Config) {
+	testMonitorPassivity(t, func(cfg *publishing.Config) {
 		cfg.Recorders = 3
 		cfg.ShardSlots = 16
-	}
+	})
+}
+
+// testMonitorPassivity runs the 64-node scenario with the monitor on and
+// off and requires byte-identical databases on every recorder.
+func testMonitorPassivity(t *testing.T, mutate ...func(*publishing.Config)) {
 	dump := func(monitored bool) []byte {
-		s := buildSimCluster(64, simClusterSeed, monitored, sharded)
-		s.c.Run(s.horizon + 2*simtime.Second)
-		if got, want := *s.delivered, int64(s.sent); got != want {
-			t.Fatalf("monitored=%v: delivered %d of %d messages", monitored, got, want)
-		}
+		s := buildSimCluster(64, simClusterSeed, monitored, mutate...)
+		_, db := s.runAndDump(t)
 		if monitored {
 			mon := s.c.Monitor()
 			if mon == nil {
 				t.Fatal("monitored cluster has no monitor")
 			}
 			if !mon.Passed() {
-				t.Fatalf("fault-free sharded run violated online invariants:\n%s", mon.Report())
+				t.Fatalf("fault-free run violated online invariants:\n%s", mon.Report())
 			}
 		}
-		var buf bytes.Buffer
-		for rank := 0; rank < s.c.Recorders(); rank++ {
-			recs, err := s.c.StoreAt(rank).ReadAll()
-			if err != nil {
-				t.Fatalf("recorder %d store: %v", rank, err)
-			}
-			fmt.Fprintf(&buf, "-- recorder %d\n", rank)
-			for _, r := range recs {
-				fmt.Fprintf(&buf, "%d %q %d %x\n", r.Kind, r.Key, r.Seq, r.Data)
-			}
-		}
-		return buf.Bytes()
+		return db
 	}
 	on, off := dump(true), dump(false)
 	if !bytes.Equal(on, off) {
-		t.Fatalf("sharded recorder databases differ between monitored and bare runs (%d vs %d bytes)", len(on), len(off))
+		t.Fatalf("recorder databases differ between monitored and bare runs (%d vs %d bytes)", len(on), len(off))
 	}
 }

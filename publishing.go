@@ -210,19 +210,6 @@ type Config struct {
 	// stream); it does not force retention — pair with FlightRecorder to
 	// bound memory on long monitored runs.
 	Monitor bool
-	// MonitorStallWindow overrides the stall detector's virtual window
-	// (0 = monitor.DefaultStallWindow).
-	MonitorStallWindow simtime.Time
-
-	// ParWorkers > 1 runs the cluster on the conservative parallel event
-	// engine (internal/simtime.Engine) with that many worker goroutines.
-	// Same-seed runs stay byte-identical to the serial engine: the engine
-	// executes concurrently only inside the medium's lookahead window and
-	// only while no fault is armed and tracing is off, falling back to
-	// serial stepping everywhere else. 0 or 1 (the default) is the plain
-	// serial scheduler. Requires a single recorder; clusters with a
-	// recorder trio stay serial.
-	ParWorkers int
 }
 
 // DefaultConfig returns a publishing-enabled cluster of n nodes on a
@@ -260,7 +247,6 @@ func DefaultConfig(n int) Config {
 type Cluster struct {
 	cfg   Config
 	sched *simtime.Scheduler
-	eng   *simtime.Engine // nil unless cfg.ParWorkers > 1
 	rng   *simtime.Rand
 	log   *trace.Log
 	mets  *metrics.Registry
@@ -329,21 +315,6 @@ func New(cfg Config) *Cluster {
 		um.UseMetrics(c.mets)
 	}
 
-	// Parallel engine (opt-in). Recorder trios reach across node state on
-	// every replicated store, so parallel windows are restricted to the
-	// single-recorder configurations; everything else still runs, just
-	// serially, and produces the same bytes either way.
-	if cfg.ParWorkers > 1 && nRecs <= 1 {
-		c.eng = simtime.NewEngine(c.sched, cfg.ParWorkers, cfg.Nodes+nRecs+cfg.Spares)
-		c.eng.SetLookahead(c.med.Lookahead())
-		c.eng.SetGate(func() bool {
-			return c.med.Faults().Quiet() && !c.log.Enabled()
-		})
-		if se, ok := c.med.(interface{ SetEngine(*simtime.Engine) }); ok {
-			se.SetEngine(c.eng)
-		}
-	}
-
 	tcfg := cfg.Transport
 	tcfg.Metrics = c.mets
 	// Pre-size every endpoint's per-destination tables for the full station
@@ -378,15 +349,7 @@ func New(cfg Config) *Cluster {
 		if i >= cfg.Nodes {
 			id = NodeID(i + nRecs) // skip the recorder ids
 		}
-		kenv := env
-		if c.eng != nil {
-			// Each kernel (and the transport endpoint it builds) schedules
-			// through its own per-LP clock, so events it creates carry its
-			// node id as the parallel affinity. A kernel reboot reuses this
-			// env, so the wiring survives crash/recovery cycles.
-			kenv.Sched = c.eng.Clock(int(id))
-		}
-		c.kernels[id] = demos.NewKernel(id, kenv)
+		c.kernels[id] = demos.NewKernel(id, env)
 	}
 	if cfg.Monitor {
 		c.attachMonitor()
@@ -451,16 +414,7 @@ func New(cfg Config) *Cluster {
 			if err != nil {
 				panic(fmt.Sprintf("publishing: open stable store: %v", err))
 			}
-			var rclk simtime.Clock = c.sched
-			if c.eng != nil {
-				// The recorder is its own LP: taps, publishes, and flush
-				// ticks touch only its state. The watchdog tick is not —
-				// its crash verdicts reboot other nodes' kernels — so it
-				// runs on the serial scheduler between windows.
-				rclk = c.eng.Clock(int(cfg.Nodes + i))
-				rcfg.TickSched = c.sched
-			}
-			rec := recorder.New(rcfg, rclk, c.rng.Fork(), c.log, c.med, store, rtcfg)
+			rec := recorder.New(rcfg, c.sched, c.rng.Fork(), c.log, c.med, store, rtcfg)
 			rec.Start()
 			c.recs = append(c.recs, rec)
 			c.stores = append(c.stores, store)
@@ -545,10 +499,9 @@ func (c *Cluster) attachMonitor() {
 		}
 	}
 	c.mon = monitor.New(monitor.Config{
-		StallWindow: c.cfg.MonitorStallWindow,
-		QueueProbe:  probe,
-		Metrics:     c.mets,
-		ShardOwner:  shardOwner,
+		QueueProbe: probe,
+		Metrics:    c.mets,
+		ShardOwner: shardOwner,
 	}, c.sched.Now)
 	c.log.SetDetailed(true)
 	c.log.SetObserver(c.mon.Observe)
@@ -642,12 +595,7 @@ func (c *Cluster) Spawn(node NodeID, spec ProcSpec) (ProcID, error) {
 
 // Run advances virtual time by d.
 func (c *Cluster) Run(d Time) {
-	limit := c.sched.Now() + d
-	if c.eng != nil {
-		c.eng.Run(limit)
-	} else {
-		c.sched.Run(limit)
-	}
+	c.sched.Run(c.sched.Now() + d)
 	// Deliver any tail of batched observer events so monitor verdicts are
 	// complete when the caller inspects them after the run.
 	c.log.FlushObservers()
@@ -674,10 +622,6 @@ func (c *Cluster) Now() Time { return c.sched.Now() }
 
 // Scheduler exposes the event scheduler (experiments schedule load with it).
 func (c *Cluster) Scheduler() *simtime.Scheduler { return c.sched }
-
-// Engine exposes the parallel event engine, or nil when the cluster runs
-// the plain serial scheduler (Config.ParWorkers <= 1).
-func (c *Cluster) Engine() *simtime.Engine { return c.eng }
 
 // Kernel returns a node's kernel.
 func (c *Cluster) Kernel(node NodeID) *demos.Kernel { return c.kernels[node] }

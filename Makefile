@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race monitor perfbench sweep-verify chaos shards fuzz bench bench-json bench-recovery bench-transport bench-store bench-sim bench-recorder scale-smoke sweep
+.PHONY: check vet build test race monitor perfbench chaos shards fuzz bench bench-smoke scale-smoke
 
-check: vet build test race monitor perfbench sweep-verify chaos shards fuzz scale-smoke bench-transport bench-store bench-sim bench-recorder
+check: vet build test race monitor perfbench chaos shards fuzz scale-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -68,90 +68,14 @@ fuzz:
 	$(GO) test ./internal/chaos -run '^$$' -fuzz FuzzChaosSchedule -fuzztime 10s
 	$(GO) test ./internal/stablestore -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 10s
 
-# The parallel-vs-serial sweep determinism proof, without rewriting
-# BENCH_sweep.json (use `make sweep` to refresh the trajectory file).
-sweep-verify:
-	$(GO) run ./cmd/experiments -verify
-
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
-# Print the perf-trajectory snapshot for BENCH_baseline.json. benchjson's -o
-# refuses to clobber an existing trajectory file, so regenerating the
-# committed baseline is an explicit `make bench-json OUT=BENCH_baseline.json`
-# after deleting it — or an -after update, never a silent overwrite.
-bench-json:
-ifdef OUT
-	$(GO) test -bench 'BenchmarkFrameEncodeDecode|BenchmarkStableStoreAppend|BenchmarkRecorderPublish|BenchmarkClusterThroughput' -benchmem -run '^$$' . | $(GO) run ./cmd/benchjson -o $(OUT)
-else
-	$(GO) test -bench 'BenchmarkFrameEncodeDecode|BenchmarkStableStoreAppend|BenchmarkRecorderPublish|BenchmarkClusterThroughput' -benchmem -run '^$$' . | $(GO) run ./cmd/benchjson
-endif
-
-# Refresh the "after" half of the recovery-path trajectory (BENCH_recovery.json
-# keeps the pre-batching numbers as its "before") and print the deltas.
-bench-recovery:
-	$(GO) test -bench 'BenchmarkEndToEndRecovery|BenchmarkRecoveryReplay' -run '^$$' . \
-		| $(GO) run ./cmd/benchjson -after BENCH_recovery.json batched, windowed replay pipeline
-
-# The steady-state wire-efficiency trajectory: thesis per-message transport
-# vs coalescing + delayed acks + adaptive RTO, as frames on the wire, ack
-# frames per guaranteed message, and virtual completion time. The default
-# (check-time) run re-measures and prints the snapshot without touching the
-# committed BENCH_transport.json; regenerate it with
-# `make bench-transport OUT=BENCH_transport.json` after deleting the old file.
-bench-transport:
-ifdef OUT
-	$(GO) test -bench BenchmarkTransportWire -run '^$$' . | $(GO) run ./cmd/benchjson -o $(OUT) coalescing + delayed acks + adaptive RTO vs thesis per-message wire
-else
-	$(GO) test -bench BenchmarkTransportWire -run '^$$' . | $(GO) run ./cmd/benchjson
-endif
-
-# The storage-engine trajectory: paged vs log-structured segment store under
-# the open-loop million-message workload (append throughput at a literal 10^6
-# records via -benchtime 1000000x, checkpoint-truncation cost against segment
-# count, recovery-rebuild time). The default (check-time) run measures a
-# shorter stream and prints the snapshot without touching the committed
-# BENCH_store.json; regenerate the trajectory with
-# `make bench-store OUT=BENCH_store.json` after deleting the old file.
-bench-store:
-ifdef OUT
-	{ $(GO) test -bench BenchmarkStoreMillionAppend -benchtime 1000000x -run '^$$' . ; \
-	  $(GO) test -bench 'BenchmarkStoreTruncate|BenchmarkStoreReopen' -benchtime 20x -run '^$$' . ; } \
-		| $(GO) run ./cmd/benchjson -o $(OUT) log-structured segment store with group commit vs paged engine
-else
-	{ $(GO) test -bench BenchmarkStoreMillionAppend -benchtime 100000x -run '^$$' . ; \
-	  $(GO) test -bench 'BenchmarkStoreTruncate|BenchmarkStoreReopen' -benchtime 5x -run '^$$' . ; } \
-		| $(GO) run ./cmd/benchjson
-endif
-
-# The recorder-availability trajectory: the 64-node crash->recovered cycle
-# against the classic single recorder vs the sharded replicated trio —
-# virtual recovery window plus the record count on the replay-serving
-# recorder (the whole database vs the worker-shard leader's partition). The
-# default (check-time) run re-measures and prints the snapshot without
-# touching the committed BENCH_recorder.json; regenerate with
-# `make bench-recorder OUT=BENCH_recorder.json` after deleting the old file.
-bench-recorder:
-ifdef OUT
-	$(GO) test -bench 'BenchmarkRecoverySingleRecorder64|BenchmarkRecoveryShardUnion64' -benchtime 2x -run '^$$' . | $(GO) run ./cmd/benchjson -o $(OUT) recovery from the shard union vs the single-recorder funnel at 64 nodes
-else
-	$(GO) test -bench 'BenchmarkRecoverySingleRecorder64|BenchmarkRecoveryShardUnion64' -benchtime 2x -run '^$$' . | $(GO) run ./cmd/benchjson
-endif
-
-# The big-cluster simulator-throughput trajectory: events per wall second
-# and virtual seconds per wall second on the workload-driven broadcast
-# scenario at 8/64/256/1024 nodes, plus the monitored variant (see
-# EXPERIMENTS.md). The default (check-time) run measures once
-# per size and prints the snapshot without touching the committed
-# BENCH_sim.json; refresh the trajectory's "after" half with
-# `make bench-sim OUT=BENCH_sim.json` (the committed before half — the
-# pre-overhaul hot loop — is preserved).
-bench-sim:
-ifdef OUT
-	$(GO) test -bench BenchmarkSimThroughput -benchtime 2x -run '^$$' . 		| $(GO) run ./cmd/benchjson -after $(OUT) hot-loop overhaul; observer-ring batched monitoring
-else
-	$(GO) test -bench BenchmarkSimThroughput -run '^$$' . | $(GO) run ./cmd/benchjson
-endif
+# Every benchmark in the module, once, for its own correctness checks: the
+# b.Fatalf calls on undelivered messages and incomplete workloads. The
+# timings a single iteration prints mean nothing; speed is perfbench's job.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The 256-node scale smokes: same-seed double-run byte-identity of metrics
 # and recorder databases, and the chaos-schedule sweep at cluster scale
@@ -160,7 +84,3 @@ endif
 # into check) runs them in full.
 scale-smoke:
 	$(GO) test -run 'TestScaleDeterminism256|TestChaosSmoke256|TestChaosSmoke1024' -count=1 -v .
-
-# Regenerate BENCH_sweep.json (parallel-vs-serial determinism proof).
-sweep:
-	$(GO) run ./cmd/experiments -sweep

@@ -1,6 +1,6 @@
 package publishing_test
 
-// Recovery-path comparison behind BENCH_recorder.json: the same 64-node
+// Recovery-path comparison tabled in EXPERIMENTS.md: the same 64-node
 // crash->detect->replay->recovered cycle run against the classic single
 // recorder and against the sharded replicated trio (three recorders,
 // sixteen shard slots). The headline metric is the virtual crash-to-

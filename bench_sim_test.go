@@ -1,7 +1,7 @@
 package publishing_test
 
 // Big-cluster simulator throughput: the workload-driven broadcast scenario
-// behind BENCH_sim.json. An internal/workload open-loop Poisson stream
+// tabled in EXPERIMENTS.md. An internal/workload open-loop Poisson stream
 // (hotspot-skewed publishers, fan-out subscriber draws) is re-expressed as
 // cluster traffic — every arrival becomes a guaranteed fan-out publication
 // through the full stack: kernel send, medium broadcast, recorder tap +

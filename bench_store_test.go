@@ -1,12 +1,11 @@
 package publishing_test
 
-// The storage-engine benchmark suite behind BENCH_store.json: the open-loop
+// The storage-engine benchmark suite tabled in EXPERIMENTS.md: the open-loop
 // workload generator (internal/workload) drives both stable-store engines
 // file-backed, measuring append throughput at million-record scale, group
 // commit, checkpoint-truncation cost against segment count, and the
-// recovery-rebuild (reopen) path. Regenerate the trajectory with
-// `make bench-store OUT=BENCH_store.json` (append benches run at
-// -benchtime 1000000x so "at 10^6 records" is literal).
+// recovery-rebuild (reopen) path. The tabled append numbers ran at
+// -benchtime 1000000x, so "at 10^6 records" is literal.
 
 import (
 	"path/filepath"
@@ -160,7 +159,7 @@ func BenchmarkStoreTruncate(b *testing.B) {
 	b.Run("paged", func(b *testing.B) {
 		benchTruncate(b, func() stablestore.Store { return stablestore.New() })
 	})
-	// No hyphens in the sub-bench names: benchjson strips a trailing
+	// No hyphens in the sub-bench names: a trailing -N reads as the
 	// -GOMAXPROCS suffix, which Go omits on a single-CPU box.
 	b.Run("segment16k", func(b *testing.B) {
 		benchTruncate(b, func() stablestore.Store {

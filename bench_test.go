@@ -343,20 +343,20 @@ func BenchmarkMediaComparison(b *testing.B) {
 		b.Run(string(medium), func(b *testing.B) {
 			var elapsed simtime.Time
 			for i := 0; i < b.N; i++ {
-				elapsed = runWireWorkload(b, medium, publishing.DefaultConfig(2).RecorderMode, 200)
+				cfg := publishing.DefaultConfig(2)
+				cfg.Medium = medium
+				elapsed = runWireWorkload(b, cfg, 200)
 			}
 			b.ReportMetric(elapsed.Seconds(), "virtual_s")
 		})
 	}
 }
 
-// runWireWorkload sends n 128-byte messages node 0 -> node 1 and returns
-// the virtual time at which the last one was delivered.
-func runWireWorkload(b *testing.B, medium publishing.MediumKind, mode recorder.ProcessMode, n int) simtime.Time {
+// runWireWorkload sends n 128-byte messages node 0 -> node 1 of a
+// two-node cluster and returns the virtual time at which the last one was
+// delivered.
+func runWireWorkload(b *testing.B, cfg publishing.Config, n int) simtime.Time {
 	b.Helper()
-	cfg := publishing.DefaultConfig(2)
-	cfg.Medium = medium
-	cfg.RecorderMode = mode
 	c := publishing.New(cfg)
 	var got int
 	var doneAt simtime.Time
@@ -398,14 +398,30 @@ func (s timedSink) Handle(ctx *publishing.PCtx, m publishing.Msg) {
 func (s timedSink) Snapshot() ([]byte, error) { return nil, nil }
 func (s timedSink) Restore(b []byte) error    { return nil }
 
+// thesisEther is a two-node cluster on a plain Ether, where receivers wait
+// for the recorder's ack, running the thesis per-message transport: no
+// coalescing, no delayed acks, and the fixed 50 ms retransmission instead
+// of the adaptive RTO (DefaultConfig's coalescing would hide the
+// mechanisms the ablations below measure).
+func thesisEther() publishing.Config {
+	cfg := publishing.DefaultConfig(2)
+	cfg.Medium = publishing.MediumEther
+	cfg.Transport.FlushDelay = 0
+	cfg.Transport.AckDelay = 0
+	cfg.Transport.AdaptiveRTO = false
+	return cfg
+}
+
 // BenchmarkRecorderModes shows §5.2.2's cost levels as end-to-end virtual
-// time on a plain Ether, where receivers wait for the recorder's ack.
+// time of a 50-message workload on the thesis transport over a plain Ether.
 func BenchmarkRecorderModes(b *testing.B) {
 	for _, mode := range []recorder.ProcessMode{recorder.ModeNaive, recorder.ModeOptimized, recorder.ModeMediaLayer} {
 		b.Run(mode.String(), func(b *testing.B) {
 			var elapsed simtime.Time
 			for i := 0; i < b.N; i++ {
-				elapsed = runWireWorkload(b, publishing.MediumEther, mode, 50)
+				cfg := thesisEther()
+				cfg.RecorderMode = mode
+				elapsed = runWireWorkload(b, cfg, 50)
 			}
 			b.ReportMetric(elapsed.Seconds(), "virtual_s")
 		})
@@ -490,33 +506,10 @@ func BenchmarkTransportWindow(b *testing.B) {
 		b.Run(fmt.Sprintf("window=%d", w), func(b *testing.B) {
 			var elapsed simtime.Time
 			for i := 0; i < b.N; i++ {
-				cfg := publishing.DefaultConfig(2)
-				cfg.Medium = publishing.MediumEther
+				cfg := thesisEther()
 				cfg.RecorderMode = recorder.ModeNaive
 				cfg.Transport.Window = w
-				cfg.Transport.RecorderAckTimeout = 500 * simtime.Millisecond
-				c := publishing.New(cfg)
-				var got int
-				var doneAt simtime.Time
-				c.Registry().RegisterMachine("sink", func(args []byte) publishing.Machine {
-					return timedSink{got: &got, doneAt: &doneAt, want: 50, now: c.Now}
-				})
-				c.Registry().RegisterProgram("gen", func(args []byte) publishing.Program {
-					return func(ctx *publishing.PCtx) {
-						l, _ := ctx.ServiceLink("sink")
-						for j := 0; j < 50; j++ {
-							_ = ctx.Send(l, make([]byte, 128), publishing.NoLink)
-						}
-					}
-				})
-				sink, _ := c.Spawn(1, publishing.ProcSpec{Name: "sink", Recoverable: true})
-				c.SetService("sink", sink)
-				c.Spawn(0, publishing.ProcSpec{Name: "gen", Recoverable: true})
-				c.Run(30 * simtime.Minute)
-				if got != 50 {
-					b.Fatalf("workload incomplete: %d", got)
-				}
-				elapsed = doneAt
+				elapsed = runWireWorkload(b, cfg, 50)
 			}
 			b.ReportMetric(elapsed.Seconds(), "virtual_s")
 		})

@@ -159,7 +159,7 @@ func ChaosScenario(seed uint64, opt ChaosOptions) chaos.Scenario {
 	// so a sender could give up moments before the recovered process returns.
 	// With the adaptive RTO the attempt counter no longer maps to wall time
 	// (backed-off timeouts stretch toward MaxRTO), so the transport also
-	// derives a wall-clock RetryBudget from this value — 600 × 50 ms = 30 s
+	// bounds elapsed retry time by this value — 600 × 50 ms = 30 s
 	// remains the effective give-up bound in both modes.
 	cfg.Transport.MaxRetries = 600
 	cfg.Transport.DisableDupSuppression = opt.BreakDupSuppression

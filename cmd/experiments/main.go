@@ -30,11 +30,7 @@ func main() {
 		fig58    = flag.Bool("fig58", false, "Fig 5.8 per-process overheads")
 		publish  = flag.Bool("publishtime", false, "§5.2.2 publishing time per message")
 		nodeopt  = flag.Bool("nodeopt", false, "§6.6.2 node-level recovery trade-off")
-		doSweep  = flag.Bool("sweep", false, "parallel deterministic seed sweep; writes -sweepout")
-		sweepOut = flag.String("sweepout", "BENCH_sweep.json", "trajectory file the sweep writes")
-		workers  = flag.Int("workers", 0, "sweep: worker pool fanning whole independent per-seed clusters across cores (0 = one per CPU)")
 		storeEng = flag.String("store", "paged", "observe: stable-store backend (paged|segment)")
-		doVerify = flag.Bool("verify", false, "run the sweep determinism check without writing a trajectory file")
 		doChaos  = flag.Bool("chaos", false, "seeded fault-schedule sweep through the chaos harness")
 		chaosN   = flag.Int("chaosn", 10, "chaos: number of consecutive seeds to sweep")
 		chaosDir = flag.String("chaosdir", "", "chaos: dump failing-schedule artifacts under this directory (default: system temp)")
@@ -78,7 +74,8 @@ func main() {
 		}()
 	}
 	if *doChaos {
-		// A tool run like the sweep; -seed picks the first schedule.
+		// A tool run, not one of the paper's experiments; -seed picks the
+		// first schedule.
 		dir := *chaosDir
 		if dir == "" {
 			dir = filepath.Join(os.TempDir(), "publishing-chaos")
@@ -87,18 +84,8 @@ func main() {
 		return
 	}
 	if *observe || *explain != "" {
-		// Like the sweep, a tool run outside the default paper set.
+		// Like -chaos, a tool run outside the default paper set.
 		runObserve(observeOpts{metricsOut: *metOut, traceOut: *traceOut, flight: *flight, seed: *seed, store: *storeEng, explain: *explain})
-		return
-	}
-	if *doSweep || *doVerify {
-		// The sweep is a tool run, not one of the paper's experiments: it
-		// never joins the default "run everything" set.
-		out := *sweepOut
-		if *doVerify {
-			out = ""
-		}
-		runSweep(out, *workers)
 		return
 	}
 	all := !(*fig31 || *fig57 || *fig58 || *publish || *nodeopt)

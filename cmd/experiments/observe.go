@@ -92,7 +92,7 @@ func runObserve(o observeOpts) {
 		}
 		snap := c.Metrics().Snapshot()
 		if strings.HasSuffix(o.metricsOut, ".json") {
-			// The JSON form is what benchjson -metrics embeds.
+			// The machine-readable form.
 			obDie(snap.WriteJSON(w))
 		} else {
 			obDie(snap.WriteText(w))

@@ -23,7 +23,7 @@
 // corrupt streams behave exactly as before.
 //
 // Byte-identity is not an optimization nicety here — recorded databases are
-// fingerprinted by the determinism oracles (sweep-verify, the scale tests),
+// fingerprinted by the determinism oracles (the sweep digests, the scale tests),
 // so an encoder that changed the stream would change the fingerprints.
 // hot_types_test.go pins the equivalence against the stock encoder for
 // every type the hot paths register.

@@ -122,6 +122,10 @@ const handoffRetry = 3 * simtime.Second
 // chanPeer carries recorder-to-recorder arbitration.
 const chanPeer = 3
 
+// claimTimeout is how long arbitration waits for a higher-priority recorder
+// to answer before this one takes the crashed node (§6.3).
+const claimTimeout = 2 * simtime.Second
+
 func encodePeer(m *peerMsg) []byte {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
@@ -136,37 +140,19 @@ func decodePeer(b []byte) (*peerMsg, error) {
 	return &m, err
 }
 
-// higherPeers returns the recorder procs with priority above ours for a
-// node, per the node's priority vector (default: ascending rank).
-func (r *Recorder) higherPeers(node frame.NodeID) []frame.ProcID {
-	if len(r.cfg.Peers) == 0 {
-		return nil
-	}
-	order := r.cfg.priorityFor(node, len(r.cfg.Peers)+1)
+// higherPeers returns the recorder procs with priority above ours. Every
+// node's priority vector V_i is ascending rank, so they are the peers
+// ranked below us.
+func (r *Recorder) higherPeers() []frame.ProcID {
 	var out []frame.ProcID
-	for _, rank := range order {
-		if rank == r.cfg.Rank {
-			break
-		}
+	for rank := 0; rank < r.cfg.Rank; rank++ {
 		// Ranks map onto the combined (self + peers) list the cluster
-		// built; PeerByRank resolves them.
+		// built; peerByRank resolves them.
 		if p, ok := r.cfg.peerByRank(rank); ok {
 			out = append(out, p)
 		}
 	}
 	return out
-}
-
-// priorityFor returns the recorder-rank order responsible for a node.
-func (c *Config) priorityFor(node frame.NodeID, nRecs int) []int {
-	if c.Priority != nil {
-		return c.Priority(node)
-	}
-	order := make([]int, nRecs)
-	for i := range order {
-		order[i] = i
-	}
-	return order
 }
 
 // peerByRank resolves a rank to a peer's proc id (our own rank resolves to
@@ -570,7 +556,7 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 // arbitrate decides who recovers a crashed node (§6.3). Without peers the
 // duty is ours immediately.
 func (r *Recorder) arbitrate(w *watchState) {
-	higher := r.higherPeers(w.node)
+	higher := r.higherPeers()
 	if len(higher) == 0 {
 		w.responsible = true
 		r.actOnCrash(w)
@@ -587,7 +573,7 @@ func (r *Recorder) arbitrate(w *watchState) {
 		// "If P_i does not recover in a set interval, R periodically
 		// requeries its higher priority nodes" (§6.3).
 		epoch := r.epoch
-		r.sched.After(r.cfg.RecoveryRetry, func() {
+		r.sched.After(recoveryRetry, func() {
 			if r.epoch != epoch || r.crashed {
 				return
 			}
@@ -600,11 +586,7 @@ func (r *Recorder) arbitrate(w *watchState) {
 		r.sendPeer(p, &peerMsg{Kind: peerQuery, Node: w.node, Code: code})
 	}
 	epoch := r.epoch
-	claim := r.cfg.ClaimTimeout
-	if claim <= 0 {
-		claim = 2 * simtime.Second
-	}
-	r.sched.After(claim, func() {
+	r.sched.After(claimTimeout, func() {
 		if r.epoch != epoch || r.crashed || answered {
 			return
 		}

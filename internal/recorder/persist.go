@@ -88,11 +88,6 @@ func (r *Recorder) append(rec stablestore.Record) {
 		// battery backup, §3.3.4); surface loudly.
 		panic(fmt.Sprintf("recorder: stable store append: %v", err))
 	}
-	if r.cfg.FlushEveryMessage {
-		if err := r.store.Flush(); err != nil {
-			panic(fmt.Sprintf("recorder: stable store flush: %v", err))
-		}
-	}
 }
 
 func (r *Recorder) persistMessage(e *procEntry, sm *storedMsg) {

@@ -106,20 +106,10 @@ type Config struct {
 	// guaranteed message — transport-level publish-before-use for media
 	// without hardware ack slots (§6.1).
 	EmitRecorderAcks bool
-	// FlushEveryMessage forces one stable-store write per message instead
-	// of 4 KB buffering — the configuration whose disk saturation §5.1
-	// reports before the buffering fix.
-	FlushEveryMessage bool
 	// WatchInterval is the watchdog ping period; MissThreshold consecutive
 	// silent intervals declare a processor crash (§4.6).
 	WatchInterval simtime.Time
 	MissThreshold int
-	// ReplayGrace delays the start of replay after a crash so in-flight
-	// advisories and acks drain into the database.
-	ReplayGrace simtime.Time
-	// RecoveryRetry re-runs a recovery that saw no progress (lost node,
-	// recursive crash) after this long.
-	RecoveryRetry simtime.Time
 	// OnProcessorCrash is the operator query of §4.6; nil defaults to
 	// recover-on-same-processor.
 	OnProcessorCrash func(node frame.NodeID) Decision
@@ -151,15 +141,12 @@ type Config struct {
 
 	// Multiple-recorder support (§6.3). Peers lists the other recorders'
 	// procs in rank order (this recorder's own slot removed); Rank is this
-	// recorder's position in the combined order. Priority, when set, maps
-	// a node to its recorder-rank priority vector V_i; nil means ascending
-	// rank for every node. NoticeProcs lists every recorder proc so the
-	// tap can consume kernel notices addressed to any of them.
-	Peers        []frame.ProcID
-	Rank         int
-	Priority     func(node frame.NodeID) []int
-	ClaimTimeout simtime.Time
-	NoticeProcs  []frame.ProcID
+	// recorder's position in the combined order; every node's priority
+	// vector V_i is ascending rank. NoticeProcs lists every recorder proc
+	// so the tap can consume kernel notices addressed to any of them.
+	Peers       []frame.ProcID
+	Rank        int
+	NoticeProcs []frame.ProcID
 
 	// Shards, when non-nil, puts the recorder in sharded mode: it records
 	// (and gates, votes on, and recovers) only the process streams whose
@@ -183,8 +170,6 @@ func DefaultConfig(node frame.NodeID, watched []frame.NodeID) Config {
 		Mode:             ModeMediaLayer,
 		WatchInterval:    500 * simtime.Millisecond,
 		MissThreshold:    3,
-		ReplayGrace:      200 * simtime.Millisecond,
-		RecoveryRetry:    20 * simtime.Second,
 		ReplayWindow:     4,
 		ReplayBatchBytes: frame.MaxBody,
 		RouteRepeats:     3,

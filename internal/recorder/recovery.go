@@ -9,6 +9,16 @@ import (
 	"publishing/internal/trace"
 )
 
+const (
+	// replayGrace delays the start of replay after a crash so in-flight
+	// advisories and acks drain into the database.
+	replayGrace = 200 * simtime.Millisecond
+	// recoveryRetry re-runs a recovery that saw no progress (lost node,
+	// recursive crash) after this long; arbitration re-queries
+	// higher-priority recorders on the same period (§6.3).
+	recoveryRetry = 20 * simtime.Second
+)
+
 // watchState is one watchdog (§4.6): "its kernel process creates, on the
 // recording node, a watch process for each processor in the system".
 type watchState struct {
@@ -50,9 +60,6 @@ func (r *Recorder) armWatchTick() {
 }
 
 func (r *Recorder) armFlushTick() {
-	if r.cfg.FlushEveryMessage {
-		return
-	}
 	epoch := r.epoch
 	r.sched.After(simtime.Second, func() {
 		if r.epoch != epoch || r.crashed {
@@ -259,13 +266,13 @@ func (r *Recorder) startRecovery(e *procEntry, target frame.NodeID) {
 		target, len(e.Arrivals), e.Checkpoint != nil)
 
 	epoch := r.epoch
-	r.sched.After(r.cfg.ReplayGrace, func() {
+	r.sched.After(replayGrace, func() {
 		if r.epoch != epoch || r.crashed || !r.current(rp, gen) {
 			return
 		}
 		r.sendRecreate(e, rp, gen)
 	})
-	r.armRecoveryRetry(e, rp, gen)
+	r.armRecoveryRestart(e, rp, gen)
 }
 
 // current reports whether gen is still the live attempt for rp.
@@ -274,14 +281,11 @@ func (r *Recorder) current(rp *recoveryProc, gen uint64) bool {
 	return ok && live == rp && rp.gen == gen
 }
 
-// armRecoveryRetry restarts a recovery from scratch if it has not completed
-// after RecoveryRetry — covering lost nodes and recursive crashes (§3.5).
-func (r *Recorder) armRecoveryRetry(e *procEntry, rp *recoveryProc, gen uint64) {
-	if r.cfg.RecoveryRetry <= 0 {
-		return
-	}
+// armRecoveryRestart restarts a recovery from scratch if it has not completed
+// after recoveryRetry — covering lost nodes and recursive crashes (§3.5).
+func (r *Recorder) armRecoveryRestart(e *procEntry, rp *recoveryProc, gen uint64) {
 	epoch := r.epoch
-	r.sched.After(r.cfg.RecoveryRetry, func() {
+	r.sched.After(recoveryRetry, func() {
 		if r.epoch != epoch || r.crashed || !r.current(rp, gen) {
 			return
 		}

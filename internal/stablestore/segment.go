@@ -32,7 +32,7 @@ import (
 // pages' worth of the §5.1 buffering discipline. Larger segments amortize
 // seal/IO cost over more records; smaller ones truncate at a finer grain —
 // 256 KiB is the measured sweet spot for million-record workloads (see
-// BENCH_store.json) while keeping checkpoint truncation responsive.
+// EXPERIMENTS.md) while keeping checkpoint truncation responsive.
 const DefaultSegmentBytes = 64 * PageSize
 
 // recHeaderLen is the fixed part of an encoded record (kind, keylen, seq,
@@ -840,7 +840,7 @@ func (s *Segmented) segPath(id uint64) string {
 // The manifest makes garbage marks durable at seal/Close time: OpenSegmented
 // decodes it and skips dead records outright — no per-record decode, no
 // index entries, no re-encoded bytes — which is where the segmented engine's
-// reopen penalty over the paged engine went (see BENCH_store.json). A crash
+// reopen penalty over the paged engine went (see EXPERIMENTS.md). A crash
 // before Close leaves sealed segments' manifests stale (missing marks made
 // after seal); that only resurrects records the recorder's rebuild re-drops
 // through checkpoint metadata, exactly as all garbage marks behaved before

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 )
 
 // Task names one independent simulation: a configuration label and the seed
@@ -36,12 +35,9 @@ type Result struct {
 	Task   Task
 	Output []byte
 	// Digest is the hex SHA-256 of Output — the per-seed fingerprint that
-	// trajectory files record.
+	// golden files record.
 	Digest string
 	Err    error
-	// Elapsed is host wall time for the run (reporting only; never part of
-	// Output).
-	Elapsed time.Duration
 }
 
 // Run executes every task on a pool of workers goroutines (GOMAXPROCS when
@@ -84,15 +80,13 @@ func RunSerial(tasks []Task, fn RunFunc) []Result {
 }
 
 func runOne(t Task, fn RunFunc) Result {
-	start := time.Now()
 	out, err := fn(t)
 	sum := sha256.Sum256(out)
 	return Result{
-		Task:    t,
-		Output:  out,
-		Digest:  hex.EncodeToString(sum[:]),
-		Err:     err,
-		Elapsed: time.Since(start),
+		Task:   t,
+		Output: out,
+		Digest: hex.EncodeToString(sum[:]),
+		Err:    err,
 	}
 }
 

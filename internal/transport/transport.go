@@ -43,11 +43,6 @@ type Config struct {
 	// MaxRetries bounds resends of one frame; 0 means retry forever. The
 	// default is generous: a message outlives the recovery of its receiver.
 	MaxRetries int
-	// DupCacheSize is the number of recently received message ids remembered
-	// for duplicate suppression. The paper sizes it so an id's lifetime is
-	// "many times greater than the time for a message to follow the longest
-	// path through the network".
-	DupCacheSize int
 	// Peers, when > 0, hints how many distinct node ids this endpoint will
 	// talk to, pre-sizing the per-destination tables so cluster bringup does
 	// not pay growth reallocations on every endpoint.
@@ -85,18 +80,9 @@ type Config struct {
 	// fixed RetransmitInterval, and backs off exponentially on retry.
 	// RetransmitInterval remains the pre-measurement initial timeout.
 	AdaptiveRTO bool
-	// MinRTO and MaxRTO clamp the adaptive timeout and its backoff.
-	// Defaults (when AdaptiveRTO is set and these are zero): 2 ms and 1 s.
-	MinRTO simtime.Time
+	// MaxRTO caps the adaptive timeout and its backoff (1 s when zero);
+	// minRTO is the floor.
 	MaxRTO simtime.Time
-	// RetryBudget bounds, in elapsed time, how long an adaptive-RTO flight
-	// is retransmitted before the sender gives up. With backoff the interval
-	// between attempts varies by orders of magnitude, so an attempt count
-	// alone no longer pins down when give-up happens; crash detection and
-	// everything layered on it assume the legacy wall-clock bound. Zero
-	// derives MaxRetries × RetransmitInterval — the exact legacy budget.
-	// Ignored when AdaptiveRTO is off or MaxRetries is 0 (retry forever).
-	RetryBudget simtime.Time
 	// Metrics, when non-nil, receives the endpoint's counters, the ack
 	// round-trip histogram, and the current rto_ns gauge under subsystem
 	// "transport".
@@ -108,7 +94,6 @@ func DefaultConfig() Config {
 	return Config{
 		RetransmitInterval: 50 * simtime.Millisecond,
 		MaxRetries:         200,
-		DupCacheSize:       4096,
 		Window:             1,
 		RecorderAckTimeout: 40 * simtime.Millisecond,
 	}
@@ -260,6 +245,15 @@ const ackReserve = maxPiggybackRecs*frame.AckRecLen + 16
 // srtt + max(G, 4*rttvar).
 const rtoGranularity = simtime.Millisecond
 
+// minRTO is the floor of the adaptive timeout and its backoff.
+const minRTO = 2 * simtime.Millisecond
+
+// dupCacheSize is the number of recently received message ids remembered
+// for duplicate suppression. The paper sizes it so an id's lifetime is
+// "many times greater than the time for a message to follow the longest
+// path through the network".
+const dupCacheSize = 4096
+
 // rxStream reassembles one sender's guaranteed-frame stream in order.
 type rxStream struct {
 	epoch    uint16
@@ -296,19 +290,8 @@ func New(node frame.NodeID, med lan.Medium, sched *simtime.Scheduler, log *trace
 	if cfg.Window <= 0 {
 		cfg.Window = 1
 	}
-	if cfg.DupCacheSize <= 0 {
-		cfg.DupCacheSize = 4096
-	}
-	if cfg.AdaptiveRTO {
-		if cfg.MinRTO <= 0 {
-			cfg.MinRTO = 2 * simtime.Millisecond
-		}
-		if cfg.MaxRTO <= 0 {
-			cfg.MaxRTO = simtime.Second
-		}
-		if cfg.RetryBudget <= 0 && cfg.MaxRetries > 0 {
-			cfg.RetryBudget = simtime.Time(cfg.MaxRetries) * cfg.RetransmitInterval
-		}
+	if cfg.AdaptiveRTO && cfg.MaxRTO <= 0 {
+		cfg.MaxRTO = simtime.Second
 	}
 	e := &Endpoint{
 		node:     node,
@@ -317,7 +300,7 @@ func New(node frame.NodeID, med lan.Medium, sched *simtime.Scheduler, log *trace
 		log:      log,
 		cfg:      cfg,
 		inflight: make(map[frame.MsgID]*flight),
-		dup:      newDupCache(cfg.DupCacheSize),
+		dup:      newDupCache(dupCacheSize),
 		held:     make(map[frame.MsgID]*heldFrame),
 	}
 	if n := cfg.Peers; n > 0 {
@@ -389,7 +372,7 @@ func (e *Endpoint) Reset() {
 	e.openUnits = 0
 	e.form.reset()
 	e.xseq.reset()
-	e.dup = newDupCache(e.cfg.DupCacheSize)
+	e.dup = newDupCache(dupCacheSize)
 	e.held = make(map[frame.MsgID]*heldFrame)
 	e.rx.reset()
 	e.ackPend.reset()
@@ -720,8 +703,8 @@ func (e *Endpoint) rtoDelay(fl *flight) simtime.Time {
 	if d > e.cfg.MaxRTO {
 		d = e.cfg.MaxRTO
 	}
-	if d < e.cfg.MinRTO {
-		d = e.cfg.MinRTO
+	if d < minRTO {
+		d = minRTO
 	}
 	return d
 }
@@ -760,8 +743,8 @@ func (e *Endpoint) observeRTT(fl *flight) {
 		vv = rtoGranularity
 	}
 	st.rto = st.srtt + vv
-	if st.rto < e.cfg.MinRTO {
-		st.rto = e.cfg.MinRTO
+	if st.rto < minRTO {
+		st.rto = minRTO
 	}
 	if st.rto > e.cfg.MaxRTO {
 		st.rto = e.cfg.MaxRTO
@@ -774,10 +757,15 @@ func (e *Endpoint) retransmit(fl *flight) {
 		return // acked in the meantime
 	}
 	exhausted := e.cfg.MaxRetries > 0 && fl.attempts >= e.cfg.MaxRetries
-	if !exhausted && e.cfg.AdaptiveRTO && e.cfg.RetryBudget > 0 {
-		// Backoff stretches the attempt intervals, so the count alone would
-		// let a flight outlive the legacy give-up point many times over.
-		exhausted = e.sched.Now()-fl.sentAt >= e.cfg.RetryBudget
+	if !exhausted && e.cfg.AdaptiveRTO {
+		// Backoff stretches the attempt intervals by orders of magnitude, so
+		// the count alone would let a flight outlive the legacy give-up point
+		// many times over; crash detection and everything layered on it
+		// assume the legacy elapsed-time bound, MaxRetries ×
+		// RetransmitInterval (zero when MaxRetries is 0: retry forever).
+		if budget := simtime.Time(e.cfg.MaxRetries) * e.cfg.RetransmitInterval; budget > 0 {
+			exhausted = e.sched.Now()-fl.sentAt >= budget
+		}
 	}
 	if exhausted {
 		// Give up; the crash-detection machinery owns this situation now.
@@ -803,7 +791,7 @@ func (e *Endpoint) retransmit(fl *flight) {
 }
 
 // backoffRTO doubles the destination's timeout after a loss signal (RFC 6298
-// §5.5), clamped to [MinRTO, MaxRTO]. The backed-off value persists for every
+// §5.5), clamped to [minRTO, MaxRTO]. The backed-off value persists for every
 // later flight to the destination until a fresh round-trip sample replaces
 // it: retransmitted flights never produce samples (Karn's algorithm), so
 // without persistence a timeout below the true round trip would fire
@@ -821,8 +809,8 @@ func (e *Endpoint) backoffRTO(dst frame.NodeID) {
 	if st.rto > e.cfg.MaxRTO {
 		st.rto = e.cfg.MaxRTO
 	}
-	if st.rto < e.cfg.MinRTO {
-		st.rto = e.cfg.MinRTO
+	if st.rto < minRTO {
+		st.rto = minRTO
 	}
 	e.rtoGauge.Set(int64(st.rto))
 }

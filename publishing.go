@@ -157,18 +157,12 @@ type Config struct {
 
 	// RecorderMode is the §5.2.2 publish processing cost model.
 	RecorderMode recorder.ProcessMode
-	// FlushEveryMessage forces one disk write per published message (§5.1
-	// pre-buffering configuration).
-	FlushEveryMessage bool
 	// WatchInterval/MissThreshold tune processor-crash detection (§4.6).
 	WatchInterval simtime.Time
 	MissThreshold int
 	// OnProcessorCrash is the §4.6 operator query; nil = recover on the
-	// same processor after RebootDelay.
+	// same processor after rebootDelay.
 	OnProcessorCrash func(node NodeID) recorder.Decision
-	// RebootDelay is how long a crashed node takes to come back when the
-	// recovery decision is recover-on-same.
-	RebootDelay simtime.Time
 	// ReplayWindow is how many replay batches recovery keeps in flight
 	// (0 = recorder default of 4; 1 = stop-and-wait).
 	ReplayWindow int
@@ -237,11 +231,14 @@ func DefaultConfig(n int) Config {
 		RecorderMode:     recorder.ModeMediaLayer,
 		WatchInterval:    500 * simtime.Millisecond,
 		MissThreshold:    3,
-		RebootDelay:      2 * simtime.Second,
 		CheckpointPolicy: CheckpointNone,
 		CheckpointTick:   simtime.Second,
 	}
 }
+
+// rebootDelay is how long a crashed node takes to come back when the
+// recovery decision is recover-on-same.
+const rebootDelay = 2 * simtime.Second
 
 // Cluster is a running simulated distributed system.
 type Cluster struct {
@@ -327,6 +324,12 @@ func New(cfg Config) *Cluster {
 			// Plain CSMA/CD cannot gate on the recorder; fall back to the
 			// transport-level recorder-acknowledgement protocol (§6.1).
 			tcfg.NeedRecorderAck = true
+			// A held frame must outlive the recorder's processing of its
+			// copy, or a slow recorder acks every copy after the receiver
+			// dropped it and no message gets through.
+			if hold := 2 * cfg.RecorderMode.PerMessageCPU(); tcfg.RecorderAckTimeout < hold {
+				tcfg.RecorderAckTimeout = hold
+			}
 		}
 	}
 
@@ -379,7 +382,6 @@ func New(cfg Config) *Cluster {
 			// acknowledge it, so every recorder emits for its own slots.
 			rcfg.EmitRecorderAcks = tcfg.NeedRecorderAck && (c.shards != nil || i == 0)
 			rcfg.Shards = c.shards
-			rcfg.FlushEveryMessage = cfg.FlushEveryMessage
 			if cfg.WatchInterval > 0 {
 				rcfg.WatchInterval = cfg.WatchInterval
 			}
@@ -397,7 +399,7 @@ func New(cfg Config) *Cluster {
 			}
 			rcfg.OnProcessorCrash = cfg.OnProcessorCrash
 			rcfg.RebootFn = func(n NodeID) {
-				c.sched.After(cfg.RebootDelay, func() { c.RebootNode(n) })
+				c.sched.After(rebootDelay, func() { c.RebootNode(n) })
 			}
 			rcfg.Rank = i
 			rcfg.NoticeProcs = allRecProcs

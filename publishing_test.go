@@ -470,3 +470,40 @@ func TestChannelOrderSurvivesRecovery(t *testing.T) {
 		t.Fatalf("state = %v", c.ProcState(pid))
 	}
 }
+
+// A slow recorder on plain Ether must not livelock the stream. Receivers
+// hold each guaranteed frame until the recorder acks it, and the naive
+// recorder acks a copy 57 ms after hearing it, longer than the transport's
+// 40 ms default hold. Unless the hold outlasts the recorder's processing,
+// every held copy is dropped just before its ack arrives.
+func TestNaiveRecorderOnEtherDelivers(t *testing.T) {
+	const n = 50
+	cfg := DefaultConfig(2)
+	cfg.Medium = MediumEther
+	cfg.RecorderMode = recorder.ModeNaive
+	c := New(cfg)
+	got := 0
+	c.Registry().RegisterMachine("sink", func(args []byte) Machine {
+		return &testMachine{handle: func(ctx *PCtx, m Msg) { got++ }}
+	})
+	c.Registry().RegisterProgram("gen", func(args []byte) Program {
+		return func(ctx *PCtx) {
+			l, _ := ctx.ServiceLink("sink")
+			for j := 0; j < n; j++ {
+				_ = ctx.Send(l, make([]byte, 128), NoLink)
+			}
+		}
+	})
+	sink, err := c.Spawn(1, ProcSpec{Name: "sink", Recoverable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetService("sink", sink)
+	if _, err := c.Spawn(0, ProcSpec{Name: "gen", Recoverable: true}); err != nil {
+		t.Fatal(err)
+	}
+	c.RunUntil(func() bool { return got == n }, 30*simtime.Minute)
+	if got != n {
+		t.Fatalf("delivered %d of %d messages in 30 virtual minutes", got, n)
+	}
+}

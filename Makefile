@@ -20,10 +20,13 @@ test:
 # The sweep engine runs simulations on real goroutines and the stable store
 # claims concurrency safety (starhub drives it from multiple connections):
 # both stay race-checked, plus a fast subset of the single-threaded core so
-# accidental shared state in new instrumentation gets caught early.
+# accidental shared state in new instrumentation gets caught early. demos is
+# here because its process switch is the one place the serial simulator
+# crosses goroutine stacks (each process is an iter.Pull coroutine).
 race:
 	$(GO) test -race ./internal/sweep ./internal/stablestore \
-		./internal/metrics ./internal/trace ./internal/frame ./internal/simtime
+		./internal/metrics ./internal/trace ./internal/frame ./internal/simtime \
+		./internal/demos
 
 # The online invariant monitor: its unit tests plus the cluster-level
 # integration tests (duplicate flagged before quiescence, report determinism,

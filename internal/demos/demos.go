@@ -8,8 +8,10 @@
 // (§4.4.2), and process control flows through DELIVERTOKERNEL links so that
 // every interaction is a recordable message (§4.4.3).
 //
-// Processes are ordinary Go code run on goroutines, but the kernels step
-// them one at a time under a virtual clock — precisely the deterministic
+// Processes are ordinary Go code run as coroutines (iter.Pull): a kernel
+// call hands control straight back to the kernel, and a dispatch straight
+// into the process, without passing through the Go scheduler. The kernels
+// step them one at a time under a virtual clock — precisely the deterministic
 // round-robin scheduler of §6.6.2 — so the whole cluster is deterministic
 // and processes are "deterministic upon their input interactions" (§1.1.1),
 // the property transparent recovery rests on.

@@ -277,14 +277,12 @@ func (k *Kernel) Spawn(spec ProcSpec, opt SpawnOptions) (frame.ProcID, error) {
 	}
 
 	p := &process{
-		id:     id,
-		name:   id.String(),
-		spec:   spec,
-		k:      k,
-		links:  newLinkTable(),
-		resume: make(chan callResp),
-		yield:  make(chan yieldMsg),
-		state:  psReady,
+		id:    id,
+		name:  id.String(),
+		spec:  spec,
+		k:     k,
+		links: newLinkTable(),
+		state: psReady,
 	}
 	switch {
 	case k.env.Registry.machines[spec.Name] != nil:
@@ -343,13 +341,9 @@ func (k *Kernel) publishingFor(p *process) bool {
 }
 
 // terminate tears a process down into the given terminal state. The
-// goroutine, if parked, is unwound synchronously.
+// process, if parked, is unwound synchronously.
 func (k *Kernel) terminate(p *process, final runState) {
-	if p.started && !p.finished {
-		p.resume <- callResp{kill: true}
-		<-p.yield // the goroutine acknowledges with yKilled
-		p.finished = true
-	}
+	p.kill()
 	p.state = final
 	if final == psDead {
 		k.qDepth.Add(-int64(p.queue.len()))
@@ -398,11 +392,7 @@ func (k *Kernel) CrashNode() {
 	}
 	k.env.Log.Add(trace.KindCrash, int(k.node), "node", "processor crash")
 	for _, p := range k.procs {
-		if p.started && !p.finished {
-			p.resume <- callResp{kill: true}
-			<-p.yield
-			p.finished = true
-		}
+		p.kill()
 	}
 	k.procs = make(map[frame.ProcID]*process)
 	k.qDepth.Set(0)
@@ -448,12 +438,13 @@ func (k *Kernel) ProcState(id frame.ProcID) ProcState {
 	}
 }
 
-// Procs lists the ids of processes the kernel knows.
+// Procs lists the ids of processes the kernel knows, in id order.
 func (k *Kernel) Procs() []frame.ProcID {
 	out := make([]frame.ProcID, 0, len(k.procs))
 	for id := range k.procs {
 		out = append(out, id)
 	}
+	frame.SortProcIDs(out)
 	return out
 }
 
@@ -478,7 +469,7 @@ func (k *Kernel) MachineSnapshot(id frame.ProcID) ([]byte, bool) {
 	if p == nil || p.machine == nil {
 		return nil, false
 	}
-	if !(p.started && !p.finished && (p.state == psBlocked || (p.state == psReady && p.pendingReceiveRetry))) {
+	if !p.parkedInReceive() {
 		return nil, false
 	}
 	b, err := p.machine.Snapshot()
@@ -604,24 +595,19 @@ func (k *Kernel) dispatch() {
 	}
 
 	p.state = psRunning
-	var y yieldMsg
-	if !p.started {
-		p.started = true
-		go p.run()
-		y = <-p.yield
+	if req, ok := p.resume(); ok {
+		k.stats.KernelCalls++
+		k.handleCall(p, req)
 	} else {
-		p.resume <- p.pending
-		p.pending = callResp{}
-		y = <-p.yield
+		k.finish(p)
 	}
-	k.handleYield(p, y)
 	k.maybeDispatch()
 }
 
-func (k *Kernel) handleYield(p *process, y yieldMsg) {
-	switch y.kind {
-	case yExit:
-		p.finished = true
+// finish accounts for a process whose program returned: a normal exit, or a
+// fault if it panicked.
+func (k *Kernel) finish(p *process) {
+	if p.fault == nil {
 		p.state = psDead
 		k.qDepth.Add(-int64(p.queue.len()))
 		delete(k.procs, p.id)
@@ -631,19 +617,13 @@ func (k *Kernel) handleYield(p *process, y yieldMsg) {
 		if k.publishingFor(p) {
 			k.notify(&Notice{Kind: NoticeDestroyed, Proc: p.id})
 		}
-	case yFault:
-		p.finished = true
-		p.state = psCrashed
-		k.stats.ProcsCrashed++
-		k.env.Log.Add(trace.KindCrash, int(k.node), p.id.String(), "%v", y.err)
-		if k.publishingFor(p) {
-			k.notify(&Notice{Kind: NoticeCrashed, Proc: p.id})
-		}
-	case yKilled:
-		p.finished = true
-	case yCall:
-		k.stats.KernelCalls++
-		k.handleCall(p, y.req)
+		return
+	}
+	p.state = psCrashed
+	k.stats.ProcsCrashed++
+	k.env.Log.Add(trace.KindCrash, int(k.node), p.id.String(), "%v", p.fault)
+	if k.publishingFor(p) {
+		k.notify(&Notice{Kind: NoticeCrashed, Proc: p.id})
 	}
 }
 

@@ -114,7 +114,7 @@ func (k *Kernel) handleControl(f *frame.Frame) bool {
 
 	case OpQueryProcs:
 		resp := &QueryResponse{RestartNumber: ctl.RestartNumber, Node: k.node}
-		for id := range k.procs {
+		for _, id := range k.Procs() {
 			resp.Procs = append(resp.Procs, ProcReport{Proc: id, State: k.ProcState(id)})
 		}
 		if f.PassedLink != nil {
@@ -378,9 +378,7 @@ func (k *Kernel) CheckpointNow(id frame.ProcID) (bool, error) {
 	if p.recovering || !k.publishingFor(p) {
 		return false, nil
 	}
-	quiescent := p.started && !p.finished &&
-		(p.state == psBlocked || (p.state == psReady && p.pendingReceiveRetry))
-	if !quiescent {
+	if !p.parkedInReceive() {
 		return false, nil
 	}
 	mb, err := p.machine.Snapshot()
@@ -424,11 +422,12 @@ type RecoveryLoad struct {
 	Checkpointable bool
 }
 
-// Loads reports the recovery debt of every local recoverable process; the
-// checkpoint policy consumes this.
+// Loads reports the recovery debt of every local recoverable process, in id
+// order; the checkpoint policy consumes this.
 func (k *Kernel) Loads() []RecoveryLoad {
 	var out []RecoveryLoad
-	for id, p := range k.procs {
+	for _, id := range k.Procs() {
+		p := k.procs[id]
 		if !p.spec.Recoverable {
 			continue
 		}

@@ -53,9 +53,7 @@ func (k *Kernel) ExportProcess(id frame.ProcID, dst frame.NodeID) (*ProcImage, e
 	if p.recovering || p.state == psCrashed {
 		return nil, fmt.Errorf("demos: migrate: %s is not in a migratable state", id)
 	}
-	quiescent := p.started && !p.finished &&
-		(p.state == psBlocked || (p.state == psReady && p.pendingReceiveRetry))
-	if !quiescent {
+	if !p.parkedInReceive() {
 		return nil, fmt.Errorf("demos: migrate: %s is mid-execution; retry when parked", id)
 	}
 

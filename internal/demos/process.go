@@ -1,8 +1,11 @@
+//go:build go1.23
+
 package demos
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 
 	"publishing/internal/frame"
 	"publishing/internal/simtime"
@@ -29,16 +32,6 @@ const (
 	psStopped // suspended by OpStop
 	psCrashed // halted on a fault, awaiting recovery
 	psDead    // exited or destroyed
-)
-
-// yieldKind classifies how a process goroutine handed control back.
-type yieldKind uint8
-
-const (
-	yCall yieldKind = iota
-	yExit
-	yFault
-	yKilled
 )
 
 // callOp enumerates kernel calls.
@@ -70,21 +63,14 @@ type callReq struct {
 }
 
 type callResp struct {
-	kill bool
-	msg  Msg
-	ok   bool
-	lid  LinkID
-	err  error
-	t    simtime.Time
+	msg Msg
+	ok  bool
+	lid LinkID
+	err error
+	t   simtime.Time
 }
 
-type yieldMsg struct {
-	kind yieldKind
-	req  callReq
-	err  error
-}
-
-// sentinels used to unwind a process goroutine.
+// sentinels used to unwind a process coroutine.
 type unwind uint8
 
 const (
@@ -136,15 +122,19 @@ type process struct {
 	// direct copy of a message the recovery already delivered.
 	replayed map[frame.MsgID]bool
 
-	// goroutine handshake. The goroutine runs only between a send on resume
-	// and the following receive on yield, so exactly one of (kernel,
-	// process) executes at any instant.
-	started  bool
-	finished bool
-	resume   chan callResp
-	yield    chan yieldMsg
-	pending  callResp
-	want     []uint16 // channels a blocked Receive is waiting for
+	// The process runs as a coroutine (iter.Pull over run): next resumes it
+	// until its next kernel call, which it returns, so exactly one of
+	// (kernel, process) executes at any instant and a switch never passes
+	// through the Go scheduler. next is nil until the first dispatch; stop
+	// unwinds a parked process. The kernel's reply travels in pending.
+	next    func() (callReq, bool)
+	stop    func()
+	yield   func(callReq) bool
+	pending callResp
+	// fault is why the process halted when next reports it finished; nil
+	// for a normal exit.
+	fault error
+	want  []uint16 // channels a blocked Receive is waiting for
 	// pendingReceiveRetry marks a receive to complete at next dispatch.
 	pendingReceiveRetry bool
 	// stopped suspends scheduling (OpStop) without losing state.
@@ -161,20 +151,42 @@ type process struct {
 // ctx builds the process-facing call context.
 func (p *process) ctx() *PCtx { return &PCtx{p: p} }
 
-// run is the process goroutine body.
-func (p *process) run() {
+// resume runs the process until its next kernel call and returns that
+// call; ok is false once the process has exited (fault nil) or faulted.
+// The first resume starts the coroutine.
+func (p *process) resume() (req callReq, ok bool) {
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.run)
+	}
+	return p.next()
+}
+
+// kill unwinds a parked process: its pending kernel call panics with
+// unwindKill, its deferred functions run, and the coroutine ends. A process
+// never started, or already finished, has nothing to unwind.
+func (p *process) kill() {
+	if p.stop != nil {
+		p.stop()
+	}
+}
+
+// parkedInReceive reports whether the process is quiescent: parked in, or
+// about to complete, a blocking Receive, so its machine state is between
+// messages.
+func (p *process) parkedInReceive() bool {
+	return p.state == psBlocked || (p.state == psReady && p.pendingReceiveRetry)
+}
+
+// run is the process coroutine body. It yields one value per kernel call;
+// returning ends the coroutine with the outcome in p.fault.
+func (p *process) run(yield func(callReq) bool) {
+	p.yield = yield
 	defer func() {
-		r := recover()
-		switch r {
-		case nil:
-			p.yield <- yieldMsg{kind: yExit}
-		case unwindExit:
-			p.yield <- yieldMsg{kind: yExit}
-		case unwindKill:
-			p.yield <- yieldMsg{kind: yKilled}
+		switch r := recover(); r {
+		case nil, unwindExit, unwindKill:
 		default:
 			// A panic in user code is a detected process fault (§1.1.2).
-			p.yield <- yieldMsg{kind: yFault, err: fmt.Errorf("process fault: %v", r)}
+			p.fault = fmt.Errorf("process fault: %v", r)
 		}
 	}()
 	p.prog(p.ctx())
@@ -201,13 +213,14 @@ type PCtx struct {
 	p *process
 }
 
-// call performs the yield/resume handshake for one kernel call.
+// call hands one kernel call to the kernel and returns its reply. yield
+// reports false when the kernel kills the parked process.
 func (c *PCtx) call(req callReq) callResp {
-	c.p.yield <- yieldMsg{kind: yCall, req: req}
-	resp := <-c.p.resume
-	if resp.kill {
+	if !c.p.yield(req) {
 		panic(unwindKill)
 	}
+	resp := c.p.pending
+	c.p.pending = callResp{}
 	return resp
 }
 

@@ -10,9 +10,11 @@
 package frame
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // NodeID identifies a processor on the network. The recorder is a node too.
@@ -41,6 +43,18 @@ func (p ProcID) String() string {
 		return "<nil-proc>"
 	}
 	return fmt.Sprintf("p%d.%d", p.Node, p.Local)
+}
+
+// SortProcIDs sorts ids into canonical (node, local) order. Map iteration
+// order is randomized, so every loop over a map of processes that emits
+// frames, trace events or CPU charges must visit them in this order.
+func SortProcIDs(ids []ProcID) {
+	slices.SortFunc(ids, func(a, b ProcID) int {
+		if c := cmp.Compare(a.Node, b.Node); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Local, b.Local)
+	})
 }
 
 // MsgID uniquely identifies a guaranteed message (§4.3.3): "The identifier

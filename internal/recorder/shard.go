@@ -163,12 +163,7 @@ func (r *Recorder) sortedProcs() []frame.ProcID {
 	for p := range r.db {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Local < out[j].Local
-	})
+	frame.SortProcIDs(out)
 	return out
 }
 

@@ -103,7 +103,7 @@ func (e Event) At() Time {
 
 // Scheduler owns the virtual clock and the pending event queue. It is not
 // safe for concurrent use: the entire simulation is single-threaded by
-// design (process goroutines are stepped synchronously by the kernel
+// design (process coroutines are resumed synchronously by the kernel
 // scheduler, never run concurrently with the event loop). Run whole
 // independent simulations on separate Schedulers to use multiple cores
 // (see internal/sweep).

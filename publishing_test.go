@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"strings"
 	"testing"
 
 	"publishing/internal/demos"
@@ -351,6 +352,60 @@ func TestCrashWhileRecorderDown(t *testing.T) {
 	if got := c.Recorder().Stats().RecoveriesCompleted; got != 1 {
 		t.Fatalf("recoveries completed = %d, want 1", got)
 	}
+}
+
+// The §3.3.4 restart query finds several processes of one node crashed while
+// the recorder was down; the recoveries it starts must launch in process-id
+// order, not the recorder database's map order, so same-seed runs stay
+// byte-identical.
+func TestCrashWhileRecorderDownDeterminism(t *testing.T) {
+	run := func() string {
+		cfg := DefaultConfig(3)
+		c, sink, worker := buildScenario(t, cfg, 12)
+		crashed := []ProcID{worker}
+		for i := 0; i < 4; i++ {
+			id, err := c.Spawn(1, ProcSpec{Name: "worker", Recoverable: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			crashed = append(crashed, id)
+		}
+		c.Scheduler().At(800*simtime.Millisecond, func() { c.CrashRecorder() })
+		c.Scheduler().At(1000*simtime.Millisecond, func() {
+			for _, id := range crashed {
+				c.CrashProcess(id)
+			}
+		})
+		c.Run(3 * simtime.Second)
+		if err := c.RestartRecorder(); err != nil {
+			t.Fatal(err)
+		}
+		c.Run(90 * simtime.Second)
+		expectSteps(t, sink, 12)
+		if got := c.Recorder().Stats().RecoveriesCompleted; got != uint64(len(crashed)) {
+			t.Fatalf("recoveries completed = %d, want %d", got, len(crashed))
+		}
+		var dump strings.Builder
+		c.Trace().Dump(&dump)
+		return dump.String()
+	}
+	first := run()
+	for i := 0; i < 8; i++ {
+		if again := run(); again != first {
+			t.Fatalf("rerun %d diverged from the first run:\n%s", i+1, firstDiff(first, again))
+		}
+	}
+}
+
+// firstDiff reports the first line at which two multi-line outputs differ.
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("line %d:\n first: %s\n rerun: %s", i+1, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("%d lines, first run %d", len(bl), len(al))
 }
 
 // A recursive crash (§3.5): the worker crashes again while being recovered;
